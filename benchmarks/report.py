@@ -61,7 +61,8 @@ from repro import (
     XMLTextCodec,
     XML2Wire,
 )
-from repro.pbio.codegen import make_generated_converter, make_interpreted_converter
+from repro.pbio.codegen import make_converter
+from repro.pbio.reference import make_interpreted_converter
 from repro.pbio.encode import encode_record
 from repro.workloads import (
     ASDOFF_A_SCHEMA,
@@ -304,7 +305,7 @@ def ablation_codegen():
         XML2Wire(context).register_schema(workload.schema)
         fmt = context.lookup_format("Synthetic")
         payload = encode_record(fmt, workload.record())
-        generated = make_generated_converter(fmt)
+        generated = make_converter(fmt)
         interpreted = make_interpreted_converter(fmt)
         t_gen = best_of(lambda: generated(payload), MSG_ROUNDS) * 1e3
         t_int = best_of(lambda: interpreted(payload), MSG_ROUNDS) * 1e3

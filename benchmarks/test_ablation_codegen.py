@@ -18,8 +18,9 @@ import time
 import pytest
 
 from repro import IOContext, SPARC_32, XML2Wire
-from repro.pbio.codegen import make_generated_converter, make_interpreted_converter
-from repro.pbio.encode import encode_record
+from repro.pbio.codegen import make_converter
+from repro.pbio.reference import make_interpreted_converter
+from repro.pbio.encode import encode_record, get_encode_plan
 from repro.workloads import SyntheticWorkload
 
 FIELD_COUNTS = [4, 16, 64, 128]
@@ -37,7 +38,7 @@ def build(fields):
 @pytest.mark.parametrize("fields", FIELD_COUNTS, ids=lambda f: f"{f}-fields")
 def test_decode_generated(benchmark, fields):
     fmt, payload = build(fields)
-    convert = make_generated_converter(fmt)
+    convert = make_converter(fmt)
     benchmark(convert, payload)
 
 
@@ -53,7 +54,7 @@ def test_generated_wins_and_gap_grows(benchmark):
 
     def ratio(fields, rounds=300):
         fmt, payload = build(fields)
-        generated = make_generated_converter(fmt)
+        generated = make_converter(fmt)
         interpreted = make_interpreted_converter(fmt)
         start = time.perf_counter()
         for _ in range(rounds):
@@ -70,7 +71,7 @@ def test_generated_wins_and_gap_grows(benchmark):
     benchmark.extra_info["interp_over_gen_4f"] = round(small_ratio, 2)
     benchmark.extra_info["interp_over_gen_128f"] = round(large_ratio, 2)
     fmt, payload = build(32)
-    benchmark(make_generated_converter(fmt), payload)
+    benchmark(make_converter(fmt), payload)
 
 
 @pytest.mark.parametrize("fields", FIELD_COUNTS, ids=lambda f: f"{f}-fields")
@@ -81,7 +82,7 @@ def test_encode_generated(benchmark, fields):
     XML2Wire(context).register_schema(workload.schema)
     fmt = context.lookup_format("Synthetic")
     record = workload.record()
-    benchmark(lambda: encode_record(fmt, record, mode="generated"))
+    benchmark(lambda: encode_record(fmt, record))
 
 
 @pytest.mark.parametrize("fields", FIELD_COUNTS, ids=lambda f: f"{f}-fields")
@@ -92,7 +93,7 @@ def test_encode_interpreted(benchmark, fields):
     XML2Wire(context).register_schema(workload.schema)
     fmt = context.lookup_format("Synthetic")
     record = workload.record()
-    benchmark(lambda: encode_record(fmt, record, mode="interpreted"))
+    benchmark(get_encode_plan(fmt).encode, record)
 
 
 @pytest.mark.parametrize("fields", [16, 128], ids=lambda f: f"{f}-fields")
@@ -101,7 +102,7 @@ def test_converter_build_cost_generated(benchmark, fields):
     fmt, _ = build(fields)
 
     def make():
-        return make_generated_converter(fmt)
+        return make_converter(fmt)
 
     benchmark(make)
 

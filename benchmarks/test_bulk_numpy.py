@@ -5,7 +5,7 @@ scientific or engineering data".  For a 1 MiB double array per record,
 the wire-format pecking order the paper describes becomes extreme:
 
 - NDR + numpy: one vectorized conversion on encode, a zero-copy view on
-  receive (`array_view`), deferred/vectorized conversion on use;
+  receive (`RecordView.array`), deferred/vectorized conversion on use;
 - NDR + lists: per-element Python conversion both ways (the non-bulk
   API, for scale);
 - XDR (generated stubs): canonical conversion of every element, both
@@ -22,7 +22,6 @@ import pytest
 from repro import IOContext, SPARC_32, X86_64, XML2Wire
 from repro.arch import NATIVE
 from repro.pbio import IOField, RecordView
-from repro.pbio.bulk import array_view, native_copy
 from repro.pbio.encode import encode_record
 
 ELEMENTS = 128 * 1024  # 1 MiB of doubles
@@ -53,7 +52,7 @@ def test_bulk_ndr_numpy_roundtrip(benchmark, data):
 
     def roundtrip():
         payload = encode_record(fmt, record)
-        return native_copy(array_view(RecordView(fmt, payload), "conc"))
+        return RecordView(fmt, payload).array("conc").astype("=f8")
 
     result = benchmark(roundtrip)
     assert len(result) == ELEMENTS
@@ -66,7 +65,7 @@ def test_bulk_ndr_numpy_view_only(benchmark, data):
     payload = encode_record(fmt, {"step": 1, "conc": data})
 
     def receive():
-        return array_view(RecordView(fmt, payload), "conc")
+        return RecordView(fmt, payload).array("conc")
 
     array = benchmark(receive)
     assert array.dtype.newbyteorder("=") == numpy.dtype("f8").newbyteorder("=")
@@ -76,9 +75,9 @@ def test_bulk_ndr_list_roundtrip(benchmark, data):
     """The same exchange through plain lists, for scale."""
     _, fmt = chem_format(SPARC_32)
     record = {"step": 1, "conc": list(data)}
-    from repro.pbio.codegen import make_generated_converter
+    from repro.pbio.codegen import make_converter
 
-    convert = make_generated_converter(fmt)
+    convert = make_converter(fmt)
 
     def roundtrip():
         return convert(encode_record(fmt, record))

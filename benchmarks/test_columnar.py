@@ -34,7 +34,7 @@ import time
 import pytest
 
 from repro import IOContext, XML2Wire
-from repro.pbio.columnar import _numpy_or_none
+from repro.pbio import types as pbio_types
 from repro.transport import connect, listen
 
 #: Batch sizes swept by the throughput A/B; the acceptance gate reads
@@ -61,7 +61,7 @@ SENSOR_SCHEMA = """<?xml version="1.0"?>
 
 SCALAR_FIELDS = ("seq", "timestamp", "sensor", "flags", "value")
 
-HAVE_NUMPY = _numpy_or_none() is not None
+HAVE_NUMPY = pbio_types.numpy is not None
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="the vectorized bulk path requires numpy"
@@ -106,7 +106,7 @@ def build_endpoints():
             "samples": [index + 0.25 * j for j in range(SAMPLES_PER_RECORD)],
             "samples_count": SAMPLES_PER_RECORD,
         })
-    numpy = _numpy_or_none()
+    numpy = pbio_types.numpy
     if numpy is None:
         bulk = rows
     else:

@@ -25,6 +25,7 @@ from repro.pbio import IOContext, IOField
 from repro.pbio.context import HEADER, HEADER_SIZE
 from repro.pbio.decode import ConverterCache
 from repro.pbio.format import IOFormat
+from repro.pbio.reference import make_interpreted_converter, make_interpreted_projection
 
 #: Batch sizes swept by the decode A/B; the acceptance gate reads the
 #: best batch >= 64.
@@ -84,17 +85,17 @@ def _evolved_pair():
     return wire, target, payload
 
 
-def _decode_batches(cache, wire, target, mode, payload, batch_size) -> float:
+def _decode_batches(get_converter, payload, batch_size) -> float:
     """Decode TOTAL_RECORDS in batches; returns records per second.
 
-    Each batch pays one converter-cache probe and ``batch_size``
-    conversions — the receive loop of a subscriber draining a burst of
-    same-format events.
+    Each batch pays one ``get_converter()`` (the converter-cache probe)
+    and ``batch_size`` conversions — the receive loop of a subscriber
+    draining a burst of same-format events.
     """
     batches = TOTAL_RECORDS // batch_size
     started = time.perf_counter()
     for _ in range(batches):
-        converter = cache.lookup(wire, target, mode)
+        converter = get_converter()
         for _ in range(batch_size):
             converter(payload)
     elapsed = time.perf_counter() - started
@@ -105,18 +106,26 @@ def run_fused_decode_ab(trials: int = 3) -> dict:
     """Fused vs interpreted evolved-record decode across batch sizes."""
     wire, target, payload = _evolved_pair()
     cache = ConverterCache()
+    decode, project = (
+        make_interpreted_converter(wire), make_interpreted_projection(wire, target)
+    )
+
+    def fused_converter():
+        return cache.lookup(wire, target)
+
+    def interpreted_converter():
+        return lambda payload: project(decode(payload))
+
     # Sanity: both paths agree before anything is timed.
-    fused_values = cache.lookup(wire, target, "generated")(payload)
-    interp_values = cache.lookup(wire, target, "interpreted")(payload)
-    assert fused_values == interp_values
+    assert fused_converter()(payload) == interpreted_converter()(payload)
     batches = {}
     for batch_size in BATCH_SIZES:
         fused = max(
-            _decode_batches(cache, wire, target, "generated", payload, batch_size)
+            _decode_batches(fused_converter, payload, batch_size)
             for _ in range(trials)
         )
         interpreted = max(
-            _decode_batches(cache, wire, target, "interpreted", payload, batch_size)
+            _decode_batches(interpreted_converter, payload, batch_size)
             for _ in range(trials)
         )
         batches[batch_size] = {
@@ -148,9 +157,7 @@ def run_cache_churn(
     over a 64-format working set, where the cache must serve >= 99%
     of lookups.
     """
-    receiver = IOContext(
-        X86_64, converter_capacity=capacity, use_fused=None
-    )
+    receiver = IOContext(X86_64, converter_capacity=capacity)
     distinct = []
     for index in range(formats):
         fmt = IOFormat(

@@ -13,7 +13,7 @@ import pytest
 
 from repro import IOContext, SPARC_32, XML2Wire
 from repro.pbio import RecordView
-from repro.pbio.codegen import make_generated_converter
+from repro.pbio.codegen import make_converter
 from repro.pbio.encode import encode_record
 from repro.workloads import SyntheticWorkload
 
@@ -33,7 +33,7 @@ def wide_record():
 def test_selective_access_eager(benchmark, wide_record):
     """Touch 2 of 64 fields after a full eager conversion."""
     fmt, payload = wide_record
-    convert = make_generated_converter(fmt)
+    convert = make_converter(fmt)
 
     def read_two():
         record = convert(payload)
@@ -55,7 +55,7 @@ def test_selective_access_lazy(benchmark, wide_record):
 
 def test_full_access_eager(benchmark, wide_record):
     fmt, payload = wide_record
-    convert = make_generated_converter(fmt)
+    convert = make_converter(fmt)
     names = fmt.field_names()
 
     def read_all():
@@ -81,7 +81,7 @@ def test_lazy_wins_selective_eager_wins_full(benchmark, wide_record):
     import time
 
     fmt, payload = wide_record
-    convert = make_generated_converter(fmt)
+    convert = make_converter(fmt)
     names = fmt.field_names()
 
     def timed(func, rounds=2000):

@@ -21,7 +21,6 @@ import threading
 import time
 
 from repro import IOContext, XML2Wire
-from repro.pbio.columnar import _numpy_or_none
 from repro.transport import connect, listen
 
 SENSOR_SCHEMA = """<?xml version="1.0"?>
@@ -90,7 +89,10 @@ def timed(send_all, recv_all):
 
 def main() -> None:
     batch_size = int(sys.argv[1]) if len(sys.argv) > 1 else 256
-    numpy = _numpy_or_none()
+    try:
+        import numpy  # optional: the library detects it the same way
+    except ImportError:
+        numpy = None
 
     sender = IOContext()
     fmt = XML2Wire(sender).register_schema(SENSOR_SCHEMA)[0]

@@ -405,7 +405,7 @@ class RemotePublisher:
         )
         self.published += 1
 
-    def publish_batch(self, fmt: IOFormat | str, records, *, use_numpy=None) -> int:
+    def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message; returns
         the record count.  The broker routes the single frame to every
         matching subscriber — fan-out cost is per-batch, not per-record.
@@ -420,7 +420,7 @@ class RemotePublisher:
                 )
             )
             self._announced.add(fmt.format_id)
-        message = context.encode_batch(fmt, records, use_numpy=use_numpy)
+        message = context.encode_batch(fmt, records)
         self.client._send(pack_envelope(OP_PUBLISH, self.stream, payload=message))
         self.published += 1
         return len(records)

@@ -17,7 +17,10 @@ processes that all serve the same metadata catalog on the same port:
 Catalog coherence: the parent holds the authoritative static-document
 snapshot.  Every publish — through :meth:`WorkerPool.publish_schema` or
 a client ``POST /mp/publish`` on any worker — flows to the parent, which
-re-broadcasts to every other worker over the control pipes.  A respawned
+re-broadcasts to every other worker over the control pipes.  Broadcasts
+are numbered and acknowledged: a publish returns only once every live
+worker has applied it, so the URL it hands back is servable by whichever
+worker the kernel picks next.  A respawned
 worker receives the full snapshot before it serves its first request, so
 a crash loses no registered documents.
 
@@ -36,15 +39,19 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from itertools import count
+from multiprocessing import connection, get_context
 from multiprocessing.reduction import recv_handle, send_handle
 from urllib.parse import parse_qs
 
-from repro.errors import DiscoveryError, TransportError
+from repro.errors import DiscoveryError, TransportError, TransportTimeoutError
 from repro.schema.model import SchemaDocument
 from repro.schema.writer import schema_to_xml
 
 _CTX = get_context("spawn")  # the parent has threads; fork is not safe
+
+#: How long readiness and publish convergence may take before they raise.
+_CONVERGE_TIMEOUT = 10.0
 
 
 def reuseport_available() -> bool:
@@ -181,11 +188,17 @@ def _worker_obs_tick(index: int, requests_served: int, status: dict | None) -> N
             respawns.labels(peer).set(worker["respawns"])
 
 
-def _mp_prefix_handler(index: int, catalog, control_send, status_ref):
-    """The ``/mp/*`` control surface each worker mounts on its catalog."""
+def _mp_prefix_handler(index: int, catalog, control_send, status_ref, relays):
+    """The ``/mp/*`` control surface each worker mounts on its catalog.
+
+    ``relays`` maps a pending publish's request id to the ``[event,
+    converged]`` pair its handler waits on; the worker's control loop
+    fills it in when the parent reports the re-broadcast acknowledged.
+    """
     from repro.metaserver.http import HTTPRequest, HTTPResponse
 
     _JSON = "application/json; charset=utf-8"
+    request_ids = count(1)
 
     def handler(request: HTTPRequest) -> HTTPResponse:
         path, _, query = request.path.partition("?")
@@ -204,10 +217,16 @@ def _mp_prefix_handler(index: int, catalog, control_send, status_ref):
             text = request.body.decode("utf-8")
             # Locally first (the answering worker is immediately
             # coherent), then upward: the parent re-broadcasts to every
-            # *other* worker, making the registration pool-wide.
+            # *other* worker, making the registration pool-wide, and
+            # answers once they have all acknowledged it.
             catalog.publish_schema(target, text)
-            control_send(("publish", target, text))
-            return HTTPResponse(200, {"Content-Type": _JSON}, b'{"published": true}')
+            request_id = next(request_ids)
+            relay = relays[request_id] = [threading.Event(), False]
+            control_send(("publish", request_id, target, text))
+            relay[0].wait(_CONVERGE_TIMEOUT)
+            relays.pop(request_id, None)
+            body = json.dumps({"published": True, "converged": relay[1]})
+            return HTTPResponse(200, {"Content-Type": _JSON}, body.encode())
         return HTTPResponse(404, body=f"no pool endpoint at {path}".encode())
 
     return handler
@@ -227,6 +246,7 @@ def _worker_main(index, host, port, mode, plane, control, handoff) -> None:
 
     catalog = MetadataCatalog()
     status_ref = [{}]
+    relays: dict[int, list] = {}
     send_lock = threading.Lock()
 
     def control_send(message) -> None:
@@ -237,7 +257,7 @@ def _worker_main(index, host, port, mode, plane, control, handoff) -> None:
                 pass  # parent gone; the worker is about to exit anyway
 
     catalog.attach_prefix_handler(
-        "/mp/", _mp_prefix_handler(index, catalog, control_send, status_ref)
+        "/mp/", _mp_prefix_handler(index, catalog, control_send, status_ref, relays)
     )
 
     try:
@@ -277,9 +297,16 @@ def _worker_main(index, host, port, mode, plane, control, handoff) -> None:
                 if op == "stop":
                     break
                 if op == "publish":
-                    catalog.publish_schema(message[1], message[2])
+                    catalog.publish_schema(message[2], message[3])
+                    control_send(("ack", message[1]))
                 elif op == "unpublish":
-                    catalog.unpublish(message[1])
+                    catalog.unpublish(message[2])
+                    control_send(("ack", message[1]))
+                elif op == "converged":
+                    relay = relays.get(message[1])
+                    if relay is not None:
+                        relay[1] = message[2]
+                        relay[0].set()
                 elif op == "catalog":
                     catalog.load_snapshot(message[1])
                 elif op == "status":
@@ -352,6 +379,12 @@ class WorkerPool:
         self._count = workers
         self._documents: dict[str, str] = {}
         self._documents_lock = threading.Lock()
+        #: Broadcast numbering: ``_seq`` counts catalog changes (under
+        #: the documents lock); ``_acked[i]`` is the newest change worker
+        #: ``i`` is known to hold, by ack or by spawn-time snapshot.
+        self._seq = 0
+        self._acked = [0] * workers
+        self._acks = threading.Condition()
         self._procs: list = [None] * workers
         self._controls: list = [None] * workers
         self._handoffs: list = [None] * workers
@@ -408,7 +441,7 @@ class WorkerPool:
             self._dealer.start()
         return self
 
-    def wait_ready(self, timeout: float = 10.0) -> None:
+    def wait_ready(self, timeout: float = _CONVERGE_TIMEOUT) -> None:
         """Block until every worker has bound and reported ready."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
@@ -459,20 +492,26 @@ class WorkerPool:
     # -- publication (parent-side API, mirrored to every worker) ---------------
 
     def publish_schema(self, path: str, schema: "SchemaDocument | str") -> str:
-        """Publish a static document on every worker; returns its URL."""
+        """Publish a static document on every worker; returns its URL.
+
+        Returns once every live worker has acknowledged the document
+        (a worker respawned meanwhile holds it from its snapshot);
+        raises :class:`~repro.errors.TransportTimeoutError` if that
+        takes longer than :meth:`wait_ready`'s default.
+        """
         if not path.startswith("/"):
             raise DiscoveryError(f"paths must start with '/', got {path!r}")
         text = schema if isinstance(schema, str) else schema_to_xml(schema)
-        with self._documents_lock:
-            self._documents[path] = text
-        self._broadcast(("publish", path, text))
+        self._converge("publish", path, text)
         return self.url_for(path)
 
     def unpublish(self, path: str) -> None:
-        """Remove a document from every worker; missing paths are a no-op."""
-        with self._documents_lock:
-            self._documents.pop(path, None)
-        self._broadcast(("unpublish", path))
+        """Remove a document from every worker; missing paths are a no-op.
+
+        Acknowledged like :meth:`publish_schema`: on return no worker
+        serves the document.
+        """
+        self._converge("unpublish", path)
 
     def status(self) -> PoolStatus:
         """A point-in-time snapshot of pool and worker health."""
@@ -524,9 +563,12 @@ class WorkerPool:
         worker.ready = False
         with self._documents_lock:
             snapshot = dict(self._documents)
+            covered = self._seq
         # The snapshot is the worker's first message; it loads it before
-        # binding, so a respawned worker never serves an empty catalog.
+        # binding, so a respawned worker never serves an empty catalog —
+        # and counts as having acknowledged every change so far.
         self._send_control(parent_control, ("catalog", snapshot))
+        self._record_ack(index, covered)
 
     def _send_control(self, conn, message) -> None:
         if conn is None:
@@ -542,20 +584,83 @@ class WorkerPool:
             if index != skip:
                 self._send_control(conn, message)
 
+    def _converge(
+        self, op: str, path: str, text: str | None = None, *, skip: int | None = None
+    ) -> None:
+        """Apply one catalog change pool-wide and wait for every ack.
+
+        The change is numbered under the documents lock, so a snapshot
+        taken for a respawn either holds it or predates its number.
+        ``skip`` is the worker the change came from (it already has it).
+        """
+        with self._documents_lock:
+            if op == "publish":
+                self._documents[path] = text
+            else:
+                self._documents.pop(path, None)
+            self._seq += 1
+            seq = self._seq
+        message = (op, seq, path) if text is None else (op, seq, path, text)
+        self._broadcast(message, skip=skip)
+        deadline = time.monotonic() + _CONVERGE_TIMEOUT
+        with self._acks:
+            while not self._stop.is_set():
+                behind = [
+                    worker.index
+                    for worker in self._status
+                    if worker.alive
+                    and worker.index != skip
+                    and self._acked[worker.index] < seq
+                ]
+                if not behind:
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TransportTimeoutError(
+                        f"{op} of {path!r} not acknowledged by workers "
+                        f"{behind} within {_CONVERGE_TIMEOUT}s"
+                    )
+                self._acks.wait(min(remaining, 0.1))
+
+    def _record_ack(self, index: int, seq: int) -> None:
+        with self._acks:
+            self._acked[index] = max(self._acked[index], seq)
+            self._acks.notify_all()
+
+    def _relay(self, origin: int, request_id: int, path: str, text: str) -> None:
+        """A worker's ``POST /mp/publish``: converge the others, then tell it."""
+        try:
+            self._converge("publish", path, text, skip=origin)
+            converged = True
+        except TransportTimeoutError:
+            converged = False
+        self._send_control(
+            self._controls[origin], ("converged", request_id, converged)
+        )
+
     def _monitor_loop(self) -> None:
         tick = 0
         last_status_push = 0.0
+        next_tick = 0.0
         while not self._stop.is_set():
-            tick += 1
+            # Worker messages (acks above all) are handled as they
+            # arrive; reaping, fault injection and status pushes keep
+            # their tick cadence.
             self._drain_workers()
-            self._reap_and_respawn()
-            if self.fault_plan is not None and self._fault_tick(tick):
-                continue  # let the kill land before the next drain
             now = time.monotonic()
-            if now - last_status_push >= 0.25:
-                last_status_push = now
-                self._push_status()
-            self._stop.wait(self._tick)
+            if now >= next_tick:
+                tick += 1
+                next_tick = now + self._tick
+                self._reap_and_respawn()
+                if self.fault_plan is not None and self._fault_tick(tick):
+                    continue  # let the kill land before the next drain
+                if now - last_status_push >= 0.25:
+                    last_status_push = now
+                    self._push_status()
+            connection.wait(
+                [conn for conn in self._controls if conn is not None],
+                timeout=max(0.0, next_tick - time.monotonic()),
+            )
 
     def _drain_workers(self) -> None:
         for index, conn in enumerate(self._controls):
@@ -566,7 +671,10 @@ class WorkerPool:
                     message = conn.recv()
                     self._handle_worker_message(index, message)
             except (EOFError, OSError):
-                continue  # dead worker; the respawn pass handles it
+                # Dead worker: drop the pipe (it would read as ready
+                # forever); the respawn pass installs a fresh one.
+                self._controls[index] = None
+                conn.close()
 
     def _handle_worker_message(self, index: int, message) -> None:
         op = message[0]
@@ -576,15 +684,14 @@ class WorkerPool:
             worker.pid = message[3]
         elif op == "stats":
             worker.requests_served = message[2].get("requests_served", 0)
+        elif op == "ack":
+            self._record_ack(index, message[1])
         elif op == "publish":
-            _, path, text = message
-            with self._documents_lock:
-                self._documents[path] = text
-            self._broadcast(("publish", path, text), skip=index)
-        elif op == "unpublish":
-            with self._documents_lock:
-                self._documents.pop(message[1], None)
-            self._broadcast(("unpublish", message[1]), skip=index)
+            # Waiting for acks here would stall the thread that reads
+            # them; a short-lived relay thread does the waiting.
+            threading.Thread(
+                target=self._relay, args=(index, *message[1:]), daemon=True
+            ).start()
 
     def _reap_and_respawn(self) -> None:
         for index, proc in enumerate(self._procs):
@@ -596,6 +703,9 @@ class WorkerPool:
             if self._respawn and not self._stop.is_set():
                 worker.respawns += 1
                 self._spawn(index)
+            else:
+                with self._acks:
+                    self._acks.notify_all()  # nobody waits on the dead
 
     def _fault_tick(self, tick: int) -> bool:
         if self.fault_plan.decide() != "crash":

@@ -22,10 +22,19 @@ Public surface:
 - :class:`~repro.pbio.context.IOContext` — registration, encode, decode,
   format-id resolution and converter caching.
 - :class:`~repro.pbio.context.DecodedRecord` — a decoded message.
+- :mod:`~repro.pbio.codegen` — the one converter generator
+  (:func:`~repro.pbio.codegen.make_converter`) and the generated
+  encoders, all compiled at one site.
+- :mod:`~repro.pbio.reference` — the interpreted reference decoder
+  (:func:`~repro.pbio.reference.reference_decode`), the executable
+  specification the generated converters are tested against.
 - :mod:`~repro.pbio.evolution` — restricted format evolution (field
-  addition/removal tolerance by name matching), compiled projections,
+  addition/removal tolerance by name matching), the projection plan,
   the :class:`~repro.pbio.evolution.Compatibility` lattice and the
   :class:`~repro.pbio.evolution.FormatLineage` registry.
+- :class:`~repro.pbio.view.RecordView` — lazy field access straight out
+  of the wire buffer, with zero-copy ``ndarray`` views of numeric
+  arrays (:meth:`~repro.pbio.view.RecordView.array`).
 - :mod:`~repro.pbio.lru` — the shared bounded LRU behind the converter,
   format-server and metadata-client caches (PROTOCOL §16).
 - :mod:`~repro.pbio.fmserver` — an in-process format server mapping
@@ -34,17 +43,15 @@ Public surface:
   (:class:`~repro.pbio.columnar.ColumnBatchView`,
   :class:`~repro.pbio.context.DecodedBatch`): N same-format records as
   per-field column blocks on one ``KIND_BATCH`` message.
+
+No codec entry point takes an implementation switch: numpy is detected
+(:data:`repro.pbio.types.numpy`), and every format, field and
+length-field name must match ``[A-Za-z_][A-Za-z0-9_]*``.
 """
 
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat, format_from_layout
-from repro.pbio.columnar import (
-    ColumnBatchView,
-    ColumnarPlan,
-    decode_batch_payload,
-    encode_batch_payload,
-    get_columnar_plan,
-)
+from repro.pbio.columnar import ColumnBatchView, ColumnarPlan, get_columnar_plan
 from repro.pbio.context import DecodedBatch, DecodedRecord, IOContext
 from repro.pbio.decode import ConverterCache
 from repro.pbio.evolution import (
@@ -52,10 +59,10 @@ from repro.pbio.evolution import (
     FormatLineage,
     compare_formats,
     formats_compatible,
-    make_projection,
 )
 from repro.pbio.fmserver import FormatServer
 from repro.pbio.lru import BoundedLRU
+from repro.pbio.reference import reference_decode
 from repro.pbio.view import RecordView, view_message
 from repro.pbio.iofile import IOFileReader, IOFileWriter, dump_records, load_records
 
@@ -66,7 +73,7 @@ __all__ = [
     "FormatLineage",
     "compare_formats",
     "formats_compatible",
-    "make_projection",
+    "reference_decode",
     "IOFileReader",
     "IOFileWriter",
     "dump_records",
@@ -81,8 +88,6 @@ __all__ = [
     "IOContext",
     "FormatServer",
     "RecordView",
-    "decode_batch_payload",
-    "encode_batch_payload",
     "get_columnar_plan",
     "view_message",
 ]

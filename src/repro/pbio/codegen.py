@@ -11,8 +11,12 @@ and returns the resulting function.
 The generated converter makes exactly one ``struct.unpack_from`` call for
 the entire fixed region of the record (pad bytes standing in for
 compiler padding and skipped wire fields), then fixes up strings and
-dynamic arrays from the variable section.  An interpreted converter that
-walks the field list per record is provided alongside for the ablation
+dynamic arrays from the variable section.  When the receiver's native
+format differs from the wire format (format evolution), the projection
+is baked into the same routine — there is one generator, and decoding a
+record in its own wire shape is the case ``target = wire``.  The
+interpreted walker in :mod:`repro.pbio.reference` is the executable
+specification it is tested against, and the baseline of the ablation
 benchmark (experiment A1): the generated/interpreted gap is this
 module's reason to exist.
 
@@ -33,9 +37,17 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-from repro.errors import ConversionError
-from repro.pbio.encode import EncodePlan, _FixedLeaf, get_encode_plan
+from repro.errors import ConversionError, EncodeError
+from repro.pbio.encode import (
+    EncodePlan,
+    _char_buffer,
+    _char_byte,
+    get_encode_plan,
+    ndarray_wire_bytes,
+)
+from repro.pbio.evolution import _plan_steps
 from repro.pbio.format import IOFormat
+from repro.pbio.types import DTYPE_CHARS
 
 Converter = Callable[[bytes], dict]
 
@@ -67,36 +79,65 @@ def _read_string(payload, offset: int) -> str | None:
     return str(payload[offset:end], "utf-8")
 
 
-def generate_converter_source(wire_format: IOFormat, function_name: str = "convert") -> str:
-    """Produce the Python source of a converter for ``wire_format``.
+def _compile(source: str, entry_point: str, label: str, namespace: dict):
+    """Compile generated ``source`` and return its ``entry_point`` function.
 
-    Exposed separately from :func:`make_generated_converter` so tests and
-    documentation can inspect the generated code.
+    The one ``exec`` of generated routines: every converter and encoder
+    (and the XDR comparator's stubs) goes through here.  ``namespace``
+    supplies the helpers the source refers to and receives everything it
+    defines.  A generator bug surfaces as a
+    :class:`~repro.errors.ConversionError` carrying the offending source.
+    """
+    try:
+        exec(compile(source, f"<{label}>", "exec"), namespace)  # noqa: S102 - the DCG mechanism itself
+    except SyntaxError as exc:
+        raise ConversionError(
+            f"generated {label} failed to compile: {exc}\n{source}"
+        ) from exc
+    return namespace[entry_point]
+
+
+def generate_converter_source(
+    wire_format: IOFormat,
+    target_format: IOFormat | None = None,
+    *,
+    function_name: str = "convert",
+) -> str:
+    """Python source of the converter for one (wire, target) format pair.
+
+    The routine makes one ``unpack_from`` over the wire record's fixed
+    region and returns a dict display shaped like ``target_format``
+    (``None`` means the wire format itself): matched fields read
+    straight out of the unpacked tuple, fields the wire lacks are inlined
+    default literals (fresh objects per record, so nothing aliases), and
+    wire fields the target drops cost nothing — their positions are
+    never read and their dynamic arrays never unpacked.  Which of those
+    applies is decided by :func:`repro.pbio.evolution._plan_steps`, the
+    same steps the reference projection and ``describe_projection``
+    follow.  Exposed separately from :func:`make_converter` so tests and
+    tools can inspect the generated code.
     """
     plan = get_encode_plan(wire_format)
-    order = "<" if wire_format.arch.is_little_endian else ">"
-    leaf_index = {id(leaf): position for position, leaf in enumerate(plan.leaves)}
-
-    prologue: list[str] = []
-    # Dynamic arrays need their data unpacked with a run-time count; emit
-    # one statement per array before the dict literal.
-    array_names: dict[tuple[str, ...], str] = {}
-    counts = _count_leaf_positions(plan)
-    for item_number, item in enumerate(plan.var_items):
-        if item.kind != "array":
-            continue
-        ptr_pos = _pointer_position(plan, item.path, leaf_index)
-        count_pos = counts[item.path]
-        var_name = f"a{item_number}"
-        array_names[item.path] = var_name
-        prologue.append(
-            f"    {var_name} = ("
-            f"list(unpack_from({order!r} + str(v[{count_pos}]) + "
-            f"{item.element_code!r}, payload, v[{ptr_pos}])) "
-            f"if v[{ptr_pos}] else [])"
-        )
-
-    body = _emit_dict(plan, wire_format, (), leaf_index, array_names, indent=2)
+    array_names = {
+        item.path: f"a{number}"
+        for number, item in enumerate(plan.var_items)
+        if item.kind == "array"
+    }
+    used_arrays: set[tuple[str, ...]] = set()
+    body = _emit_record(
+        plan, wire_format, target_format or wire_format, (),
+        array_names, used_arrays, indent=2,
+    )
+    prologue = [
+        # Dynamic arrays unpack with a run-time count: one statement per
+        # array the target keeps, ahead of the dict display.
+        f"    {array_names[item.path]} = ("
+        f"list(unpack_from({plan.order!r} + str(v[{item.count_position}]) + "
+        f"{item.element_code!r}, payload, v[{item.pointer_position}])) "
+        f"if v[{item.pointer_position}] else [])"
+        for item in plan.var_items
+        if item.path in used_arrays
+    ]
     lines = [
         f"def {function_name}(payload, unpack_from=unpack_from, _str=_str):",
         f"    v = unpack_from({plan.fixed_struct.format!r}, payload, 0)",
@@ -107,85 +148,36 @@ def generate_converter_source(wire_format: IOFormat, function_name: str = "conve
     return "\n".join(lines)
 
 
-def make_generated_converter(wire_format: IOFormat) -> Converter:
-    """Compile and return a converter function for ``wire_format``."""
-    source = generate_converter_source(wire_format)
-    namespace = {"unpack_from": struct.unpack_from, "_str": _read_string}
-    try:
-        code = compile(source, f"<pbio converter for {wire_format.name}>", "exec")
-        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated converter for {wire_format.name!r} failed to "
-            f"compile: {exc}\n{source}"
-        ) from exc
-    return namespace["convert"]
+def make_converter(
+    wire_format: IOFormat, target_format: IOFormat | None = None
+) -> Converter:
+    """Compile the converter for the pair (see :func:`generate_converter_source`)."""
+    label = f"pbio converter {wire_format.name}"
+    if target_format is not None:
+        label += f" -> {target_format.name}"
+    return _compile(
+        generate_converter_source(wire_format, target_format),
+        "convert",
+        label,
+        {"unpack_from": struct.unpack_from, "_str": _read_string},
+    )
 
 
 # -- generation internals -----------------------------------------------------
 
 
-def _count_leaf_positions(plan: EncodePlan) -> dict[tuple[str, ...], int]:
-    """Map each dynamic array path to its count leaf's unpack position."""
-    result: dict[tuple[str, ...], int] = {}
-    position = 0
-    for leaf in plan.leaves:
-        if leaf.role == "count":
-            for measured_path in leaf.measures:
-                result[measured_path] = position
-        position += _leaf_width(leaf)
-    # Re-walk to translate flat positions: widths accounted below.
-    return result
-
-
-def _leaf_width(leaf: _FixedLeaf) -> int:
-    """How many values this leaf contributes to the unpacked tuple."""
-    if leaf.role == "array":
-        return leaf.count
-    return 1
-
-
-def _leaf_positions(plan: EncodePlan) -> dict[int, int]:
-    """Map id(leaf) to its first position in the unpacked tuple."""
-    positions: dict[int, int] = {}
-    cursor = 0
-    for leaf in plan.leaves:
-        positions[id(leaf)] = cursor
-        cursor += _leaf_width(leaf)
-    return positions
-
-
-def _pointer_position(
-    plan: EncodePlan, path: tuple[str, ...], leaf_index: dict[int, int]
-) -> int:
-    positions = _leaf_positions(plan)
-    for leaf in plan.leaves:
-        if leaf.path == path and leaf.role in ("string_ptr", "dyn_ptr"):
-            return positions[id(leaf)]
-    raise ConversionError(f"no pointer leaf for path {path}")
-
-
-def _wire_value_expr(
-    field,
-    path: tuple[str, ...],
-    by_path: dict,
-    positions: dict[int, int],
-    array_names: dict[tuple[str, ...], str],
-) -> str:
-    """The expression extracting a non-nested wire field's value."""
-    if field.type.is_dynamic_array:
-        return array_names[path]
+def _wire_value_expr(plan: EncodePlan, field, path: tuple[str, ...]) -> str:
+    """The expression extracting a static (non-nested) wire field's value."""
     if field.is_string:
         if field.static_count == 1:
-            leaf = by_path[path]
-            return f"_str(payload, v[{positions[id(leaf)]}])"
-        parts = []
-        for i in range(field.static_count):
-            leaf = by_path[path + (str(i),)]
-            parts.append(f"_str(payload, v[{positions[id(leaf)]}])")
+            return f"_str(payload, v[{plan.leaf_by_path[path].position}])"
+        parts = [
+            f"_str(payload, v[{plan.leaf_by_path[path + (str(i),)].position}])"
+            for i in range(field.static_count)
+        ]
         return "[" + ", ".join(parts) + "]"
-    leaf = by_path[path]
-    start = positions[id(leaf)]
+    leaf = plan.leaf_by_path[path]
+    start = leaf.position
     if leaf.role == "chararray":
         return f"v[{start}].split(b'\\x00', 1)[0].decode('utf-8')"
     if leaf.role == "array":
@@ -197,107 +189,7 @@ def _wire_value_expr(
     return f"v[{start}]"  # scalar or count
 
 
-def _emit_dict(
-    plan: EncodePlan,
-    fmt: IOFormat,
-    prefix: tuple[str, ...],
-    leaf_index: dict[int, int],
-    array_names: dict[tuple[str, ...], str],
-    indent: int,
-) -> str:
-    positions = _leaf_positions(plan)
-    by_path: dict[tuple[str, ...], _FixedLeaf] = {leaf.path: leaf for leaf in plan.leaves}
-    pad = " " * (indent * 4)
-    inner = " " * ((indent + 1) * 4)
-    entries: list[str] = []
-    for field in fmt.compiled_fields:
-        path = prefix + (field.name,)
-        if field.nested is not None:
-            if field.static_count == 1:
-                value = _emit_dict(
-                    plan, field.nested, path, leaf_index, array_names, indent + 1
-                )
-            else:
-                elements = [
-                    _emit_dict(
-                        plan, field.nested, path + (str(i),), leaf_index,
-                        array_names, indent + 1,
-                    )
-                    for i in range(field.static_count)
-                ]
-                value = "[" + ", ".join(elements) + "]"
-        else:
-            value = _wire_value_expr(field, path, by_path, positions, array_names)
-        entries.append(f"{inner}{field.name!r}: {value},")
-    return "{\n" + "\n".join(entries) + f"\n{pad}}}"
-
-
-# -- fused decode+project (instance-based lazy binding) ------------------------
-#
-# When the wire format and the receiver's native format differ, the
-# two-step path decodes a wire-shaped dict and then projects it onto the
-# native format — building and discarding an intermediate dict per
-# record.  The fused converter bakes the projection into the converter
-# itself: it walks the *target* format's fields, pulling matched values
-# straight out of the unpacked wire tuple, inlining defaults as literals
-# and never materializing the wire-shaped intermediate.  Dropped wire
-# fields cost nothing — their unpack positions are simply never read —
-# and dynamic-array prologue statements are emitted only for arrays the
-# target actually keeps.
-
-
-def generate_fused_converter_source(
-    wire_format: IOFormat,
-    target_format: IOFormat,
-    function_name: str = "convert",
-) -> str:
-    """Source of a converter decoding wire records into the target shape.
-
-    Value-identical to ``project(convert(payload))`` with the separate
-    generated converter and compiled projection, minus the intermediate
-    wire-shaped dict.  Exposed separately so tests and ``pbdump`` can
-    inspect the generated code.
-    """
-    plan = get_encode_plan(wire_format)
-    order = "<" if wire_format.arch.is_little_endian else ">"
-    counts = _count_leaf_positions(plan)
-
-    array_names: dict[tuple[str, ...], str] = {}
-    for item_number, item in enumerate(plan.var_items):
-        if item.kind == "array":
-            array_names[item.path] = f"a{item_number}"
-
-    used_arrays: set[tuple[str, ...]] = set()
-    body = _emit_fused(
-        plan, wire_format, target_format, (), array_names, used_arrays, indent=2
-    )
-
-    prologue: list[str] = []
-    for item in plan.var_items:
-        if item.kind != "array" or item.path not in used_arrays:
-            continue
-        leaf_index = {id(leaf): pos for pos, leaf in enumerate(plan.leaves)}
-        ptr_pos = _pointer_position(plan, item.path, leaf_index)
-        count_pos = counts[item.path]
-        var_name = array_names[item.path]
-        prologue.append(
-            f"    {var_name} = ("
-            f"list(unpack_from({order!r} + str(v[{count_pos}]) + "
-            f"{item.element_code!r}, payload, v[{ptr_pos}])) "
-            f"if v[{ptr_pos}] else [])"
-        )
-
-    lines = [
-        f"def {function_name}(payload, unpack_from=unpack_from, _str=_str):",
-        f"    v = unpack_from({plan.fixed_struct.format!r}, payload, 0)",
-        *prologue,
-        f"    return {body}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def _emit_fused(
+def _emit_record(
     plan: EncodePlan,
     wire_fmt: IOFormat,
     target_fmt: IOFormat,
@@ -306,78 +198,35 @@ def _emit_fused(
     used_arrays: set[tuple[str, ...]],
     indent: int,
 ) -> str:
-    """Emit the target-shaped dict display sourced from the wire plan.
-
-    Mirrors :func:`repro.pbio.evolution._plan_steps` decision for
-    decision — the fused converter must stay value-identical to
-    decode-then-project.
-    """
-    from repro.pbio.evolution import default_value
-
-    positions = _leaf_positions(plan)
-    by_path = {leaf.path: leaf for leaf in plan.leaves}
-    wire_fields = {field.name: field for field in wire_fmt.compiled_fields}
+    """Emit the target-shaped dict display sourced from the wire plan."""
     pad = " " * (indent * 4)
     inner = " " * ((indent + 1) * 4)
     entries: list[str] = []
-    for target_field in target_fmt.compiled_fields:
-        path = prefix + (target_field.name,)
-        wire_field = wire_fields.get(target_field.name)
-        if wire_field is None:
-            # Defaults are literals: list/dict displays build fresh
-            # objects per record, so nothing aliases.
-            value = repr(default_value(target_field))
-        elif (
-            target_field.nested is not None
-            and wire_field.nested is not None
-            and target_field.static_count == wire_field.static_count
-        ):
-            if target_field.static_count == 1:
-                value = _emit_fused(
-                    plan, wire_field.nested, target_field.nested, path,
-                    array_names, used_arrays, indent + 1,
-                )
-            else:
-                elements = [
-                    _emit_fused(
-                        plan, wire_field.nested, target_field.nested,
-                        path + (str(i),), array_names, used_arrays, indent + 1,
-                    )
-                    for i in range(target_field.static_count)
-                ]
-                value = "[" + ", ".join(elements) + "]"
-        elif target_field.nested is not None or wire_field.nested is not None:
-            # Shape conflict: same drop-and-default rule as _plan_steps.
-            value = repr(default_value(target_field))
-        else:
-            if wire_field.type.is_dynamic_array:
+    for field, action, extra in _plan_steps(wire_fmt, target_fmt):
+        path = prefix + (field.name,)
+        if action == "default":
+            value = repr(extra)
+        elif action == "copy":
+            if extra.type.is_dynamic_array:
                 used_arrays.add(path)
-            value = _wire_value_expr(
-                wire_field, path, by_path, positions, array_names
+                value = array_names[path]
+            else:
+                value = _wire_value_expr(plan, extra, path)
+        elif action == "nested":
+            value = _emit_record(
+                plan, *extra, path, array_names, used_arrays, indent + 1
             )
-        entries.append(f"{inner}{target_field.name!r}: {value},")
+        else:  # nested_list
+            elements = [
+                _emit_record(
+                    plan, *extra, path + (str(i),), array_names, used_arrays,
+                    indent + 1,
+                )
+                for i in range(field.static_count)
+            ]
+            value = "[" + ", ".join(elements) + "]"
+        entries.append(f"{inner}{field.name!r}: {value},")
     return "{\n" + "\n".join(entries) + f"\n{pad}}}"
-
-
-def make_fused_converter(
-    wire_format: IOFormat, target_format: IOFormat
-) -> Converter:
-    """Compile the fused decode+project converter for the pair."""
-    source = generate_fused_converter_source(wire_format, target_format)
-    namespace = {"unpack_from": struct.unpack_from, "_str": _read_string}
-    try:
-        code = compile(
-            source,
-            f"<pbio fused converter {wire_format.name} -> {target_format.name}>",
-            "exec",
-        )
-        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"fused converter {wire_format.name!r} -> {target_format.name!r} "
-            f"failed to compile: {exc}\n{source}"
-        ) from exc
-    return namespace["convert"]
 
 
 # -- generated encoder (sender-side DCG) ---------------------------------------
@@ -388,26 +237,6 @@ def make_fused_converter(
 # plan-based encoder is preserved by falling back to it on unexpected
 # exceptions: the plan re-runs the record and raises its precise
 # EncodeError (or, should it somehow succeed, supplies the result).
-
-
-def _char_byte(value) -> bytes:
-    """Helper injected into generated encoders: one char to one byte."""
-    if isinstance(value, str):
-        return value.encode("utf-8")[:1] or b"\x00"
-    if isinstance(value, int):
-        return bytes([value])
-    if isinstance(value, bytes):
-        return value[:1] or b"\x00"
-    raise ConversionError(f"cannot encode {value!r} as a char")
-
-
-def _char_buffer(value, count: int) -> bytes:
-    """Helper injected into generated encoders: fixed char buffers."""
-    if isinstance(value, str):
-        return value.encode("utf-8")[:count]
-    if isinstance(value, bytes):
-        return value[:count]
-    raise ConversionError(f"cannot encode {value!r} as a char buffer")
 
 
 def _path_expr(path: tuple[str, ...]) -> str:
@@ -425,28 +254,28 @@ def _container_get_expr(prefix: tuple[str, ...], name: str) -> str:
     return f"{container}.get({name!r})"
 
 
-def generate_encoder_source(
-    fmt: IOFormat, function_name: str = "encode", *, into: bool = False
-) -> str:
+def generate_encoder_source(fmt: IOFormat, *, into: bool = False) -> str:
     """Produce Python source for a specialized encoder for ``fmt``.
 
-    With ``into=True`` the generated function has the signature
-    ``(record, buffer, offset)`` and writes the payload in place with
-    ``pack_into`` — the sender-side zero-copy path — instead of
-    returning freshly concatenated ``bytes``.
+    The function is ``encode(record)`` returning fresh ``bytes``; with
+    ``into=True`` it is ``encode_into(record, buffer, offset)``, which
+    writes the payload in place with ``pack_into`` — the sender-side
+    zero-copy path.  Every error message is emitted as the ``repr`` of
+    the complete text, never as a name spliced into a hand-built literal.
     """
     plan = get_encode_plan(fmt)
-    order = "<" if fmt.arch.is_little_endian else ">"
+    order = plan.order
+    prefix = f"format {fmt.name!r}: "
     if into:
         signature = (
-            f"def {function_name}(record, buffer, offset, "
-            f"pack_into=pack_into, pack_arr=pack_arr, "
-            f"_chr=_chr, _buf=_buf, len=len):"
+            "def encode_into(record, buffer, offset, "
+            "pack_into=pack_into, pack_arr=pack_arr, "
+            "_chr=_chr, _buf=_buf, len=len):"
         )
     else:
         signature = (
-            f"def {function_name}(record, pack=pack, pack_arr=pack_arr, "
-            f"_chr=_chr, _buf=_buf, len=len):"
+            "def encode(record, pack=pack, pack_arr=pack_arr, "
+            "_chr=_chr, _buf=_buf, len=len):"
         )
     lines = [
         signature,
@@ -473,8 +302,6 @@ def generate_encoder_source(
             ]
         else:
             mask = item.alignment - 1
-            from repro.pbio.types import DTYPE_CHARS
-
             dtype_char = DTYPE_CHARS.get((item.element_kind, item.element_size))
             if dtype_char is not None:
                 ndarray_case = (
@@ -505,18 +332,22 @@ def generate_encoder_source(
         first = _path_expr(leaf.measures[0])
         lines.append(f"    _a = {first}")
         lines.append(f"    {name} = 0 if _a is None else len(_a)")
+        differing = (
+            f"{prefix}arrays sharing count field '{dotted}' have differing lengths"
+        )
         for other in leaf.measures[1:]:
             lines += [
                 f"    _b = {_path_expr(other)}",
                 f"    if (0 if _b is None else len(_b)) != {name}:",
-                f"        raise EncodeError(\"format {fmt.name!r}: arrays "
-                f"sharing count field '{dotted}' have differing lengths\")",
+                f"        raise EncodeError({differing!r})",
             ]
+        mismatch = (
+            f"{prefix}count field '{dotted}' is %r but the array has %d elements"
+        )
         lines += [
             f"    _e = {_container_get_expr(leaf.path[:-1], leaf.path[-1])}",
             f"    if _e is not None and _e != {name}:",
-            f"        raise EncodeError(\"format {fmt.name!r}: count field "
-            f"'{dotted}' is %r but the array has %d elements\" % (_e, {name}))",
+            f"        raise EncodeError({mismatch!r} % (_e, {name}))",
         ]
     # Static array length checks + pack arguments.
     args: list[str] = []
@@ -535,22 +366,24 @@ def generate_encoder_source(
         elif leaf.role == "array":
             name = f"arr{index}"
             dotted = ".".join(leaf.path)
+            wrong_length = (
+                f"{prefix}field '{dotted}' expects exactly {leaf.count} "
+                f"elements, got %d"
+            )
             lines += [
                 f"    {name} = {value}",
                 f"    if len({name}) != {leaf.count}:",
-                f"        raise EncodeError(\"format {fmt.name!r}: field "
-                f"'{dotted}' expects exactly {leaf.count} elements, "
-                f"got %d\" % len({name}))",
+                f"        raise EncodeError({wrong_length!r} % len({name}))",
             ]
             args.append(f"*{name}")
         else:
             args.append(value)
     joined = ",\n        ".join(args)
     if into:
+        too_small = f"{prefix}buffer has %d bytes free, payload needs %d"
         lines += [
             "    if len(buffer) - offset < cursor:",
-            f"        _e = EncodeError(\"format {fmt.name!r}: buffer has "
-            f"%d bytes free, payload needs %d\""
+            f"        _e = EncodeError({too_small!r}"
             f" % (len(buffer) - offset, cursor))",
             "        _e.needed = cursor",
             "        raise _e",
@@ -571,174 +404,53 @@ def generate_encoder_source(
     return "\n".join(lines) + "\n"
 
 
-def make_generated_encoder(fmt: IOFormat):
-    """Compile a specialized encoder; falls back to the plan on errors."""
-    plan = get_encode_plan(fmt)
-    source = generate_encoder_source(fmt)
-    from repro.errors import EncodeError
-    from repro.pbio.encode import ndarray_wire_bytes
+def make_generated_encoder(fmt: IOFormat, *, into: bool = False):
+    """Compile the specialized encoder; falls back to the plan on errors.
 
-    namespace = {
-        "pack": plan.fixed_struct.pack,
-        "pack_arr": struct.pack,
-        "_chr": _char_byte,
-        "_buf": _char_buffer,
-        "_nd": ndarray_wire_bytes,
-        "EncodeError": EncodeError,
-    }
-    try:
-        exec(compile(source, f"<pbio encoder for {fmt.name}>", "exec"), namespace)
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated encoder for {fmt.name!r} failed to compile: "
-            f"{exc}\n{source}"
-        ) from exc
-    fast = namespace["encode"]
-    encode_error = namespace["EncodeError"]
+    Same contract as :meth:`EncodePlan.encode` — with ``into=True``, as
+    :meth:`EncodePlan.encode_into` (capacity :class:`EncodeError` with
+    ``.needed`` raised before anything is written) — and byte-identical
+    output, but with every field expression inlined so the steady-state
+    sender pays no plan-walking allocations.
+    """
+    plan = get_encode_plan(fmt)
+    entry_point = "encode_into" if into else "encode"
+    fast = _compile(
+        generate_encoder_source(fmt, into=into),
+        entry_point,
+        f"pbio {entry_point} for {fmt.name}",
+        {
+            "pack": plan.fixed_struct.pack,
+            "pack_into": plan.fixed_struct.pack_into,
+            "pack_arr": struct.pack,
+            "_chr": _char_byte,
+            "_buf": _char_buffer,
+            "_nd": ndarray_wire_bytes,
+            "EncodeError": EncodeError,
+        },
+    )
+
+    # On anything but an EncodeError, re-run through the plan for a
+    # precise diagnostic (or, in the unexpected case the plan succeeds,
+    # its result).
+    if into:
+
+        def encode_into(record: dict, buffer, offset: int = 0) -> int:
+            try:
+                return fast(record, buffer, offset)
+            except EncodeError:
+                raise
+            except Exception:
+                return plan.encode_into(record, buffer, offset)
+
+        return encode_into
 
     def encode(record: dict) -> bytes:
         try:
             return fast(record)
-        except encode_error:
+        except EncodeError:
             raise
         except Exception:
-            # Re-run through the plan for a precise diagnostic (or, in
-            # the unexpected case the plan succeeds, its result).
             return plan.encode(record)
 
     return encode
-
-
-def make_generated_encoder_into(fmt: IOFormat):
-    """Compile the in-place encoder; falls back to the plan on errors.
-
-    Same contract as :meth:`EncodePlan.encode_into` (byte-identical
-    output, capacity :class:`EncodeError` with ``.needed`` raised before
-    anything is written), but with every field expression inlined so the
-    steady-state sender pays no plan-walking allocations.
-    """
-    plan = get_encode_plan(fmt)
-    source = generate_encoder_source(fmt, "encode_into", into=True)
-    from repro.errors import EncodeError
-    from repro.pbio.encode import ndarray_wire_bytes
-
-    namespace = {
-        "pack_into": plan.fixed_struct.pack_into,
-        "pack_arr": struct.pack,
-        "_chr": _char_byte,
-        "_buf": _char_buffer,
-        "_nd": ndarray_wire_bytes,
-        "EncodeError": EncodeError,
-    }
-    try:
-        exec(
-            compile(source, f"<pbio encode_into for {fmt.name}>", "exec"),
-            namespace,
-        )
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated encode_into for {fmt.name!r} failed to compile: "
-            f"{exc}\n{source}"
-        ) from exc
-    fast = namespace["encode_into"]
-    encode_error = namespace["EncodeError"]
-
-    def encode_into(record: dict, buffer, offset: int = 0) -> int:
-        try:
-            return fast(record, buffer, offset)
-        except encode_error:
-            raise
-        except Exception:
-            # Re-run through the plan for a precise diagnostic (or, in
-            # the unexpected case the plan succeeds, its result).
-            return plan.encode_into(record, buffer, offset)
-
-    return encode_into
-
-
-# -- interpreted converter (ablation baseline) --------------------------------
-
-
-def make_interpreted_converter(wire_format: IOFormat) -> Converter:
-    """A converter that walks the format metadata for every record.
-
-    Semantically identical to the generated converter; exists to measure
-    what dynamic code generation buys (experiment A1).  It still uses the
-    precompiled plan's leaf list, but performs per-leaf unpacking,
-    dictionary assembly and dispatch at run time for every record.
-    """
-    plan = get_encode_plan(wire_format)
-    order = "<" if wire_format.arch.is_little_endian else ">"
-    positions = _leaf_positions(plan)
-    unpack_from = struct.unpack_from
-
-    def convert(payload: bytes) -> dict:
-        flat: dict[tuple[str, ...], object] = {}
-        for leaf in plan.leaves:
-            offset = leaf.offset
-            if leaf.role in ("scalar", "count", "string_ptr", "dyn_ptr"):
-                (value,) = unpack_from(order + leaf.code, payload, offset)
-            elif leaf.role == "char":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = raw.decode("latin-1")
-            elif leaf.role == "bool":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = bool(raw)
-            elif leaf.role == "chararray":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = raw.split(b"\x00", 1)[0].decode("utf-8")
-            else:  # static array
-                value = list(unpack_from(order + leaf.code, payload, offset))
-            flat[leaf.path] = value
-        counts = _count_leaf_positions(plan)
-        result: dict[tuple[str, ...], object] = {}
-        for item in plan.var_items:
-            pointer = flat[item.path]
-            if item.kind == "string":
-                flat[item.path] = _read_string(payload, pointer)
-            else:
-                if pointer:
-                    count_leaf_position = counts[item.path]
-                    count = _value_at_position(plan, flat, count_leaf_position)
-                    flat[item.path] = list(
-                        unpack_from(
-                            f"{order}{count}{item.element_code}", payload, pointer
-                        )
-                    )
-                else:
-                    flat[item.path] = []
-        return _assemble(plan, wire_format, (), flat)
-
-    return convert
-
-
-def _value_at_position(plan: EncodePlan, flat: dict, position: int):
-    cursor = 0
-    for leaf in plan.leaves:
-        if cursor == position:
-            return flat[leaf.path]
-        cursor += _leaf_width(leaf)
-    raise ConversionError(f"no leaf at unpack position {position}")
-
-
-def _assemble(
-    plan: EncodePlan, fmt: IOFormat, prefix: tuple[str, ...], flat: dict
-) -> dict:
-    record: dict = {}
-    for field in fmt.compiled_fields:
-        path = prefix + (field.name,)
-        if field.nested is not None:
-            if field.static_count == 1:
-                record[field.name] = _assemble(plan, field.nested, path, flat)
-            else:
-                record[field.name] = [
-                    _assemble(plan, field.nested, path + (str(i),), flat)
-                    for i in range(field.static_count)
-                ]
-        elif field.is_string and field.static_count > 1:
-            record[field.name] = [
-                flat[path + (str(i),)] for i in range(field.static_count)
-            ]
-        else:
-            record[field.name] = flat[path]
-    return record

@@ -29,9 +29,11 @@ Nested formats have no columnar representation (their fields would need
 recursive column splitting); :func:`get_columnar_plan` rejects them with
 a typed :class:`~repro.errors.EncodeError`.
 
-numpy is an optional acceleration throughout: every path has a
-pure-Python fallback producing byte-identical output (property-tested in
-``tests/property/test_columnar_properties.py``).
+numpy is an optional acceleration throughout, detected once
+(:data:`repro.pbio.types.numpy`): every path has a pure-Python fallback
+producing byte-identical output (property-tested in
+``tests/property/test_columnar_properties.py``), and it is the only
+path on hosts without numpy.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from operator import itemgetter
 
 from repro.arch.model import TypeKind
 from repro.errors import DecodeError, EncodeError
+from repro.pbio import types as _types
 from repro.pbio.codegen import _read_string
-from repro.pbio.encode import _align_up, scalar_code
+from repro.pbio.encode import _align_up, _char_buffer, _char_byte, scalar_code
 from repro.pbio.format import CompiledField, IOFormat
 from repro.pbio.types import DTYPE_CHARS
 
@@ -63,24 +66,6 @@ _EXTRA_CHARS: dict[tuple[TypeKind, int], str] = {
     (TypeKind.ENUMERATION, 4): "u4",
     (TypeKind.ENUMERATION, 8): "u8",
 }
-
-
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def _resolve_numpy(use_numpy, error_cls):
-    """Tri-state numpy selection: None = auto, True = require, False = off."""
-    if use_numpy is False:
-        return None
-    numpy = _numpy_or_none()
-    if use_numpy is True and numpy is None:
-        raise error_cls("use_numpy=True requires numpy, which is not installed")
-    return numpy
 
 
 def _dtype_char(kind: TypeKind | None, size: int) -> str | None:
@@ -264,7 +249,7 @@ class ColumnarPlan:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_parts(self, records, *, use_numpy=None) -> list[bytes]:
+    def encode_parts(self, records) -> list[bytes]:
         """Render a batch payload as a list of buffer parts.
 
         The parts concatenate to the full payload; returning them
@@ -279,7 +264,7 @@ class ColumnarPlan:
             raise EncodeError(
                 f"format {fmt_name!r}: a columnar batch needs at least one record"
             )
-        numpy = _resolve_numpy(use_numpy, EncodeError)
+        numpy = _types.numpy
         starts, fixed_end = self.layout(count)
 
         # Pass 1: derive (and cross-check) dynamic-array counts per row.
@@ -324,9 +309,9 @@ class ColumnarPlan:
         parts.extend(heap_parts)
         return parts
 
-    def encode(self, records, *, use_numpy=None) -> bytes:
+    def encode(self, records) -> bytes:
         """The batch payload as one bytes object (joins the parts)."""
-        return b"".join(self.encode_parts(records, use_numpy=use_numpy))
+        return b"".join(self.encode_parts(records))
 
     def _field_value(self, record: dict, name: str, row: int):
         try:
@@ -545,17 +530,13 @@ class ColumnarPlan:
         """Element conversion matching ``EncodePlan._convert_scalar``."""
         kind = column.heap_elem_kind
         if kind == TypeKind.CHAR:
-            if isinstance(value, str):
-                encoded = value.encode("utf-8")[:1]
-                return encoded or b"\x00"
-            if isinstance(value, int):
-                return bytes([value])
-            if isinstance(value, bytes):
-                return value[:1] or b"\x00"
-            raise EncodeError(
-                f"format {self.format.name!r}: char element in batch column "
-                f"{column.name!r} expects a 1-character string"
-            )
+            try:
+                return _char_byte(value)
+            except (TypeError, ValueError):
+                raise EncodeError(
+                    f"format {self.format.name!r}: char element in batch column "
+                    f"{column.name!r} expects a 1-character string"
+                ) from None
         if kind == TypeKind.BOOLEAN:
             return 1 if value else 0
         if kind == TypeKind.ENUMERATION:
@@ -581,33 +562,26 @@ class ColumnarPlan:
             rendered = []
             for row, record in enumerate(records):
                 value = self._field_value(record, column.name, row)
-                if isinstance(value, str):
-                    encoded = value.encode("utf-8")[:1] or b"\x00"
-                elif isinstance(value, bytes):
-                    encoded = value[:1] or b"\x00"
-                elif isinstance(value, int):
-                    encoded = bytes([value])
-                else:
+                try:
+                    rendered.append(_char_byte(value))
+                except (TypeError, ValueError):
                     raise EncodeError(
                         f"format {fmt_name!r}: batch record {row} char field "
                         f"{column.name!r} expects a 1-character string"
-                    )
-                rendered.append(encoded)
+                    ) from None
             return b"".join(rendered)
         if role == "chararray":
             rendered = []
             width = column.elem_size
             for row, record in enumerate(records):
                 value = self._field_value(record, column.name, row)
-                if isinstance(value, str):
-                    raw = value.encode("utf-8")[:width]
-                elif isinstance(value, bytes):
-                    raw = value[:width]
-                else:
+                try:
+                    raw = _char_buffer(value, width)
+                except TypeError:
                     raise EncodeError(
                         f"format {fmt_name!r}: batch record {row} char array "
                         f"{column.name!r} expects str or bytes"
-                    )
+                    ) from None
                 rendered.append(raw.ljust(width, b"\x00"))
             return b"".join(rendered)
         if role == "array":
@@ -709,14 +683,14 @@ class ColumnarPlan:
             )
         return count, heap_off, starts
 
-    def decode_records(self, payload, *, use_numpy=None) -> list[dict]:
+    def decode_records(self, payload) -> list[dict]:
         """Decode a batch payload back to N record dicts.
 
         Value representation matches the per-record converters field for
         field: NULL strings decode to ``None``, empty dynamic arrays to
         ``[]``, chars to 1-character strings, booleans to ``bool``.
         """
-        numpy = _resolve_numpy(use_numpy, DecodeError)
+        numpy = _types.numpy
         count, heap_off, starts = self.parse_prelude(payload)
         columns: dict[str, list] = {}
         raw_counts: dict[str, tuple] = {}
@@ -923,16 +897,6 @@ def get_columnar_plan(fmt: IOFormat) -> ColumnarPlan:
     return plan
 
 
-def encode_batch_payload(fmt: IOFormat, records, *, use_numpy=None) -> bytes:
-    """The columnar batch payload (no message header) for ``records``."""
-    return get_columnar_plan(fmt).encode(records, use_numpy=use_numpy)
-
-
-def decode_batch_payload(fmt: IOFormat, payload, *, use_numpy=None) -> list[dict]:
-    """Decode a columnar batch payload against the wire format ``fmt``."""
-    return get_columnar_plan(fmt).decode_records(payload, use_numpy=use_numpy)
-
-
 class ColumnBatchView:
     """Lazy, column-oriented access to one batch payload.
 
@@ -946,29 +910,24 @@ class ColumnBatchView:
     out (PROTOCOL §12 ownership rules apply to batch frames too).
     """
 
-    def __init__(self, fmt: IOFormat, payload, *, use_numpy=None) -> None:
+    def __init__(self, fmt: IOFormat, payload) -> None:
         self.format = fmt
         self.plan = get_columnar_plan(fmt)
         self._payload = payload
-        self._use_numpy = use_numpy
-        self._numpy = None if use_numpy is False else _numpy_or_none()
         count, heap_off, starts = self.plan.parse_prelude(payload)
         self._count = count
         self._heap_off = heap_off
         self._starts = dict(zip((c.name for c in self.plan.columns), starts))
         self._records: list[dict] | None = None
 
-    def _require_numpy(self):
+    @staticmethod
+    def _require_numpy():
         """numpy, or the typed error column access raises without it."""
-        numpy = self._numpy
+        numpy = _types.numpy
         if numpy is None:
-            if self._use_numpy is False:
-                raise DecodeError(
-                    "column access needs numpy, but the view was created "
-                    "with use_numpy=False"
-                )
             raise DecodeError(
-                "use_numpy=True requires numpy, which is not installed"
+                "column access needs numpy, which is not installed; "
+                "use row access instead"
             )
         return numpy
 
@@ -1080,9 +1039,7 @@ class ColumnBatchView:
     def materialize(self) -> list[dict]:
         """All records, decoded once and cached on the view."""
         if self._records is None:
-            self._records = self.plan.decode_records(
-                self._payload, use_numpy=self._use_numpy
-            )
+            self._records = self.plan.decode_records(self._payload)
         return self._records
 
     def __iter__(self):

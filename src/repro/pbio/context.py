@@ -37,12 +37,7 @@ from repro.errors import DecodeError, FormatRegistrationError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
 from repro.pbio.decode import DEFAULT_CONVERTER_CAPACITY, ConverterCache
-from repro.pbio.encode import (
-    encode_record,
-    get_encode_plan,
-    get_generated_encode_into,
-    get_generated_encoder,
-)
+from repro.pbio.encode import encode_record, get_encode_plan, get_generated_encoder
 from repro.pbio.field import IOField
 from repro.pbio.fmserver import FormatServer
 from repro.pbio.format import IOFormat
@@ -119,11 +114,6 @@ class IOContext:
     converter_capacity:
         LRU bound of the private converter cache (ignored when
         ``converter_cache`` is given).
-    use_fused:
-        Tri-state switch for the fused decode+project converter on
-        evolved records (``None`` = fuse with fallback, ``True`` =
-        force, ``False`` = two-step path).  Ignored when
-        ``converter_cache`` is given.
     lineage:
         Optional :class:`~repro.pbio.evolution.FormatLineage`; every
         format this context registers or learns is recorded there,
@@ -137,7 +127,6 @@ class IOContext:
         format_server: FormatServer | None = None,
         converter_cache: ConverterCache | None = None,
         converter_capacity: int = DEFAULT_CONVERTER_CAPACITY,
-        use_fused: bool | None = None,
         lineage=None,
     ) -> None:
         self.arch = arch
@@ -147,7 +136,7 @@ class IOContext:
         self._converters = (
             converter_cache
             if converter_cache is not None
-            else ConverterCache(converter_capacity, use_fused=use_fused)
+            else ConverterCache(converter_capacity)
         )
         self._format_server = format_server
         self.lineage = lineage
@@ -215,7 +204,7 @@ class IOContext:
         # keeping the per-message path free of first-use spikes.
         get_encode_plan(fmt)
         get_generated_encoder(fmt)
-        get_generated_encode_into(fmt)
+        get_generated_encoder(fmt, into=True)
 
     def lookup_format(self, name: str) -> IOFormat:
         """Return a locally registered format by name."""
@@ -285,29 +274,27 @@ class IOContext:
         """
         if isinstance(fmt, str):
             fmt = self.lookup_format(fmt)
-        length = get_generated_encode_into(fmt)(record, buffer, offset + HEADER_SIZE)
+        length = get_generated_encoder(fmt, into=True)(
+            record, buffer, offset + HEADER_SIZE
+        )
         HEADER.pack_into(
             buffer, offset, KIND_DATA, PROTOCOL_VERSION, 0, length, fmt.format_id
         )
         return HEADER_SIZE + length
 
-    def encode_batch(
-        self, fmt: IOFormat | str, records, *, use_numpy=None
-    ) -> bytes:
+    def encode_batch(self, fmt: IOFormat | str, records) -> bytes:
         """Encode ``records`` as one framed columnar batch message.
 
         The batch rides a ``KIND_BATCH`` message whose body is the
         columnar payload of PROTOCOL §14; per-record data messages are
-        untouched.  ``use_numpy`` forces the vectorized (``True``) or
-        pure-Python (``False``) encoder; the default auto-detects.
-        Raises :class:`~repro.errors.EncodeError` for empty batches and
-        for formats with nested fields (no columnar representation).
+        untouched.  numpy, when installed, vectorizes the conversion;
+        the bytes are the same without it.  Raises
+        :class:`~repro.errors.EncodeError` for empty batches and for
+        formats with nested fields (no columnar representation).
         """
-        return b"".join(self.encode_batch_iov(fmt, records, use_numpy=use_numpy))
+        return b"".join(self.encode_batch_iov(fmt, records))
 
-    def encode_batch_iov(
-        self, fmt: IOFormat | str, records, *, use_numpy=None
-    ) -> list:
+    def encode_batch_iov(self, fmt: IOFormat | str, records) -> list:
         """:meth:`encode_batch` as a list of buffer parts (header first).
 
         Hand the parts to a scatter-gather sender
@@ -318,7 +305,7 @@ class IOContext:
 
         if isinstance(fmt, str):
             fmt = self.lookup_format(fmt)
-        parts = get_columnar_plan(fmt).encode_parts(records, use_numpy=use_numpy)
+        parts = get_columnar_plan(fmt).encode_parts(records)
         length = sum(len(part) for part in parts)
         header = HEADER.pack(
             KIND_BATCH, PROTOCOL_VERSION, 0, length, fmt.format_id
@@ -326,7 +313,7 @@ class IOContext:
         self._batch_observe("encode", len(records))
         return [header, *parts]
 
-    def decode_batch(self, message, *, use_numpy=None) -> DecodedBatch:
+    def decode_batch(self, message) -> DecodedBatch:
         """Decode a framed batch message to a :class:`DecodedBatch`.
 
         Records come back in the wire format's own shape, with the same
@@ -335,10 +322,8 @@ class IOContext:
         """
         from repro.pbio.columnar import get_columnar_plan
 
-        wire_format, payload = self._batch_payload(message)
-        records = get_columnar_plan(wire_format).decode_records(
-            payload, use_numpy=use_numpy
-        )
+        wire_format, payload = self._split(message, KIND_BATCH)
+        records = get_columnar_plan(wire_format).decode_records(payload)
         self._batch_observe("decode", len(records))
         return DecodedBatch(
             format_name=wire_format.name,
@@ -346,7 +331,7 @@ class IOContext:
             wire_format=wire_format,
         )
 
-    def decode_batch_view(self, message, *, use_numpy=None):
+    def decode_batch_view(self, message):
         """Decode a batch message as a lazy zero-copy column view.
 
         Returns a :class:`~repro.pbio.columnar.ColumnBatchView` whose
@@ -356,22 +341,27 @@ class IOContext:
         """
         from repro.pbio.columnar import ColumnBatchView
 
-        wire_format, payload = self._batch_payload(message)
-        return ColumnBatchView(wire_format, payload, use_numpy=use_numpy)
+        return ColumnBatchView(*self._split(message, KIND_BATCH))
 
-    def _batch_payload(self, message):
-        """Split a batch message into (wire format, payload view)."""
+    def _split(self, message, expected_kind: int):
+        """Split a framed message into (wire format, payload view).
+
+        The one header/payload split behind :meth:`decode`,
+        :meth:`decode_view` and the batch decoders: checks the message
+        kind and that the body the header promises is all there.
+        """
         kind, _, _, length, format_id = self.parse_header(message)
-        if kind != KIND_BATCH:
+        if kind != expected_kind:
+            wanted = "batch" if expected_kind == KIND_BATCH else "data"
             raise DecodeError(
-                f"expected a batch message, got message kind {kind}"
+                f"expected a {wanted} message, got message kind {kind}"
             )
         if isinstance(message, bytearray):
-            message = memoryview(message)
+            message = memoryview(message)  # keep the payload slice zero-copy
         payload = message[HEADER_SIZE : HEADER_SIZE + length]
         if len(payload) != length:
             raise DecodeError(
-                f"truncated batch message: header promises {length} bytes, "
+                f"truncated message: header promises {length} bytes, "
                 f"got {len(payload)}"
             )
         return self.wire_format(format_id), payload
@@ -400,36 +390,16 @@ class IOContext:
         """Frame a format request for ``format_id``."""
         return HEADER.pack(KIND_REQUEST, PROTOCOL_VERSION, 0, 0, format_id)
 
-    def decode(
-        self,
-        message: bytes,
-        *,
-        expect: str | None = None,
-        mode: str = "generated",
-    ) -> DecodedRecord:
+    def decode(self, message: bytes, *, expect: str | None = None) -> DecodedRecord:
         """Decode a framed data message.
 
         ``expect`` names a locally registered format to project the
         record onto (format-evolution tolerance); by default the record
-        is returned in the wire format's own shape.  ``mode`` selects the
-        converter implementation (``"generated"`` or ``"interpreted"``).
+        is returned in the wire format's own shape.
         """
-        kind, version, _, length, format_id = self.parse_header(message)
-        if kind != KIND_DATA:
-            raise DecodeError(
-                f"expected a data message, got message kind {kind}"
-            )
-        if isinstance(message, bytearray):
-            message = memoryview(message)  # keep the payload slice zero-copy
-        payload = message[HEADER_SIZE : HEADER_SIZE + length]
-        if len(payload) != length:
-            raise DecodeError(
-                f"truncated message: header promises {length} bytes, "
-                f"got {len(payload)}"
-            )
-        wire_format = self.wire_format(format_id)
+        wire_format, payload = self._split(message, KIND_DATA)
         target = self.lookup_format(expect) if expect is not None else None
-        converter = self._converters.lookup(wire_format, target, mode)
+        converter = self._converters.lookup(wire_format, target)
         # Direct global read; get_registry()'s call overhead is real on
         # this path (see the obs overhead benchmark).
         registry = _metrics._default_registry
@@ -473,19 +443,7 @@ class IOContext:
         """
         from repro.pbio.view import RecordView
 
-        kind, _, _, length, format_id = self.parse_header(message)
-        if kind != KIND_DATA:
-            raise DecodeError(f"expected a data message, got message kind {kind}")
-        wire_format = self.wire_format(format_id)
-        if isinstance(message, bytearray):
-            message = memoryview(message)
-        payload = message[HEADER_SIZE : HEADER_SIZE + length]
-        if len(payload) != length:
-            raise DecodeError(
-                f"truncated message: header promises {length} bytes, "
-                f"got {len(payload)}"
-            )
-        return RecordView(wire_format, payload)
+        return RecordView(*self._split(message, KIND_DATA))
 
     @staticmethod
     def parse_header(message: bytes) -> tuple[int, int, int, int, bytes]:

@@ -35,7 +35,9 @@ from repro.errors import EncodeError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
 from repro.obs.metrics import get_registry
-from repro.pbio.format import CompiledField, IOFormat
+from repro.pbio import types as _types
+from repro.pbio.format import IOFormat
+from repro.pbio.types import DTYPE_CHARS
 
 
 def _align_up(value: int, alignment: int) -> int:
@@ -65,12 +67,35 @@ _CODES: dict[tuple[TypeKind, int], str] = {
 def ndarray_wire_bytes(array, dtype_str: str) -> bytes:
     """Vectorized wire bytes for a numpy array (one conversion/copy).
 
-    ``dtype_str`` is the wire dtype (byte order included).  Imported
-    lazily so numpy stays an optional acceleration.
+    ``dtype_str`` is the wire dtype (byte order included).  Only reached
+    for values that carry a ``dtype``, so numpy is necessarily present.
     """
-    import numpy
-
+    numpy = _types.numpy
     return numpy.asarray(array).astype(numpy.dtype(dtype_str), copy=False).tobytes()
+
+
+def _char_byte(value) -> bytes:
+    """One ``char`` as one byte; ``TypeError`` for anything but str/int/bytes.
+
+    The single coercion behind the plan, the generated encoders and the
+    columnar encoder; each caller adds its own field/row context.
+    """
+    if isinstance(value, str):
+        return value.encode("utf-8")[:1] or b"\x00"
+    if isinstance(value, int):
+        return bytes([value])
+    if isinstance(value, bytes):
+        return value[:1] or b"\x00"
+    raise TypeError(f"cannot encode {value!r} as a char")
+
+
+def _char_buffer(value, count: int) -> bytes:
+    """A fixed ``char[count]`` buffer's bytes (unpadded); ``TypeError`` otherwise."""
+    if isinstance(value, str):
+        return value.encode("utf-8")[:count]
+    if isinstance(value, bytes):
+        return value[:count]
+    raise TypeError(f"cannot encode {value!r} as a char buffer")
 
 
 def scalar_code(kind: TypeKind, size: int, *, context: str) -> str:
@@ -83,7 +108,7 @@ def scalar_code(kind: TypeKind, size: int, *, context: str) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass
 class _FixedLeaf:
     """One slot (or contiguous array of slots) in the base record.
 
@@ -98,9 +123,11 @@ class _FixedLeaf:
     count: int = 1
     # for role == "count": paths of the arrays this field measures
     measures: tuple[tuple[str, ...], ...] = ()
+    #: first index of this leaf's value(s) in the unpacked fixed tuple
+    position: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class _VarItem:
     """One variable-section item: a string or a dynamic array."""
 
@@ -110,27 +137,47 @@ class _VarItem:
     element_size: int = 0
     element_kind: TypeKind | None = None
     alignment: int = 4
-    # static arrays of strings produce one _VarItem per element:
-    element_index: int | None = None
+    #: unpack positions of the item's pointer slot and, for arrays, of
+    #: the count field that measures it
+    pointer_position: int = 0
+    count_position: int = 0
 
 
 class EncodePlan:
-    """A compiled encoder for one :class:`IOFormat`.
+    """The lowered wire plan of one :class:`IOFormat`.
 
-    Plans are cached on the format instance by :func:`get_encode_plan`;
-    building one walks the format tree once and is part of the
-    registration cost the paper's Table 1 measures.
+    ``leaves`` (role, offset, struct code, unpack position — in offset
+    order) and ``var_items`` (strings and dynamic arrays with their
+    pointer/count positions) are the single description of the wire
+    layout: the plan-walking encoder below, the generated encoders and
+    converters, the reference decoder and :class:`~repro.pbio.RecordView`
+    all read it.  Plans are cached on the format instance by
+    :func:`get_encode_plan`; building one walks the format tree once and
+    is part of the registration cost the paper's Table 1 measures.
     """
 
     def __init__(self, fmt: IOFormat) -> None:
         self.format = fmt
         self.arch = fmt.arch
+        self.order = "<" if fmt.arch.is_little_endian else ">"
         leaves: list[_FixedLeaf] = []
         var_items: list[_VarItem] = []
         self._flatten(fmt, 0, (), leaves, var_items)
         leaves.sort(key=lambda leaf: leaf.offset)
+        cursor = 0
+        count_positions: dict[tuple[str, ...], int] = {}
+        for leaf in leaves:
+            leaf.position = cursor
+            cursor += leaf.count if leaf.role == "array" else 1
+            for measured in leaf.measures:
+                count_positions[measured] = leaf.position
         self.leaves = leaves
+        self.leaf_by_path = {leaf.path: leaf for leaf in leaves}
+        for item in var_items:
+            item.pointer_position = self.leaf_by_path[item.path].position
+            item.count_position = count_positions.get(item.path, 0)
         self.var_items = var_items
+        self.var_by_path = {item.path: item for item in var_items}
         self.fixed_struct = struct.Struct(self._build_format_string(leaves))
 
     # -- plan construction --------------------------------------------------
@@ -240,7 +287,7 @@ class EncodePlan:
             )
 
     def _build_format_string(self, leaves: list[_FixedLeaf]) -> str:
-        prefix = "<" if self.arch.is_little_endian else ">"
+        prefix = self.order
         parts = [prefix]
         cursor = 0
         for leaf in leaves:
@@ -263,11 +310,11 @@ class EncodePlan:
 
     # -- encoding -------------------------------------------------------------
 
-    def encode(self, record: dict) -> bytes:
-        """Encode ``record`` to an NDR payload.
+    def _layout_var(self, record: dict) -> tuple[dict, list[bytes], int]:
+        """Render the variable section for ``record``.
 
-        Raises :class:`~repro.errors.EncodeError` for missing fields,
-        type mismatches, or count-field inconsistencies.
+        Returns each item's pointer value (0 = NULL) by path, the aligned
+        parts that follow the base record, and the total payload size.
         """
         pointer_values: dict[tuple[str, ...], int] = {}
         var_parts: list[bytes] = []
@@ -284,11 +331,24 @@ class EncodePlan:
             pointer_values[item.path] = cursor
             var_parts.append(data)
             cursor += len(data)
-        values = [
-            self._leaf_value(leaf, record, pointer_values) for leaf in self.leaves
+        return pointer_values, var_parts, cursor
+
+    def _fixed_values(self, record: dict, pointer_values: dict) -> list:
+        return [
+            value
+            for leaf in self.leaves
+            for value in self._leaf_value(leaf, record, pointer_values)
         ]
+
+    def encode(self, record: dict) -> bytes:
+        """Encode ``record`` to an NDR payload.
+
+        Raises :class:`~repro.errors.EncodeError` for missing fields,
+        type mismatches, or count-field inconsistencies.
+        """
+        pointer_values, var_parts, _ = self._layout_var(record)
         try:
-            fixed = self.fixed_struct.pack(*[v for vs in values for v in vs])
+            fixed = self.fixed_struct.pack(*self._fixed_values(record, pointer_values))
         except struct.error as exc:
             raise EncodeError(
                 f"format {self.format.name!r}: cannot pack record: {exc}"
@@ -308,22 +368,7 @@ class EncodePlan:
         written*, carrying the required size as its ``needed`` attribute
         so callers can re-acquire and retry.
         """
-        pointer_values: dict[tuple[str, ...], int] = {}
-        var_parts: list[bytes] = []
-        cursor = self.format.record_length
-        for item in self.var_items:
-            data, is_null = self._render_var_item(item, record)
-            if is_null:
-                pointer_values[item.path] = 0
-                continue
-            aligned = _align_up(cursor, item.alignment)
-            if aligned != cursor:
-                var_parts.append(b"\x00" * (aligned - cursor))
-                cursor = aligned
-            pointer_values[item.path] = cursor
-            var_parts.append(data)
-            cursor += len(data)
-        total = cursor
+        pointer_values, var_parts, total = self._layout_var(record)
         if len(buffer) - offset < total:
             error = EncodeError(
                 f"format {self.format.name!r}: buffer has "
@@ -331,12 +376,9 @@ class EncodePlan:
             )
             error.needed = total  # type: ignore[attr-defined]
             raise error
-        values = [
-            self._leaf_value(leaf, record, pointer_values) for leaf in self.leaves
-        ]
         try:
             self.fixed_struct.pack_into(
-                buffer, offset, *[v for vs in values for v in vs]
+                buffer, offset, *self._fixed_values(record, pointer_values)
             )
         except struct.error as exc:
             raise EncodeError(
@@ -404,12 +446,10 @@ class EncodePlan:
                 f"format {self.format.name!r}: field {'.'.join(item.path)!r} "
                 f"expects a sequence, got {type(value).__name__}"
             ) from None
-        order = "<" if self.arch.is_little_endian else ">"
+        order = self.order
         if hasattr(value, "dtype"):
             # numpy fast path: one vectorized conversion, no per-element
             # Python work (the bulk scientific-data case).
-            from repro.pbio.types import DTYPE_CHARS
-
             char = DTYPE_CHARS.get((item.element_kind, item.element_size))
             if char is not None:
                 return ndarray_wire_bytes(value, order + char), False
@@ -424,17 +464,13 @@ class EncodePlan:
 
     def _convert_scalar(self, kind: TypeKind | None, value, path: tuple[str, ...]):
         if kind == TypeKind.CHAR:
-            if isinstance(value, str):
-                encoded = value.encode("utf-8")[:1]
-                return encoded or b"\x00"
-            if isinstance(value, int):
-                return bytes([value])
-            if isinstance(value, bytes):
-                return value[:1] or b"\x00"
-            raise EncodeError(
-                f"format {self.format.name!r}: char field {'.'.join(path)!r} "
-                f"expects a 1-character string"
-            )
+            try:
+                return _char_byte(value)
+            except (TypeError, ValueError):
+                raise EncodeError(
+                    f"format {self.format.name!r}: char field {'.'.join(path)!r} "
+                    f"expects a 1-character string"
+                ) from None
         if kind == TypeKind.BOOLEAN:
             return 1 if value else 0
         if kind == TypeKind.ENUMERATION:
@@ -459,14 +495,13 @@ class EncodePlan:
         if leaf.role == "bool":
             return (1 if value else 0,)
         if leaf.role == "chararray":
-            if isinstance(value, str):
-                return (value.encode("utf-8")[: leaf.count],)
-            if isinstance(value, bytes):
-                return (value[: leaf.count],)
-            raise EncodeError(
-                f"format {self.format.name!r}: char array "
-                f"{'.'.join(leaf.path)!r} expects str or bytes"
-            )
+            try:
+                return (_char_buffer(value, leaf.count),)
+            except TypeError:
+                raise EncodeError(
+                    f"format {self.format.name!r}: char array "
+                    f"{'.'.join(leaf.path)!r} expects str or bytes"
+                ) from None
         # role == "array": a static primitive array.
         if not isinstance(value, (list, tuple)):
             raise EncodeError(
@@ -517,16 +552,19 @@ def get_encode_plan(fmt: IOFormat) -> EncodePlan:
     return plan
 
 
-def get_generated_encoder(fmt: IOFormat):
+def get_generated_encoder(fmt: IOFormat, *, into: bool = False):
     """Return (building if necessary) the cached generated encoder.
 
     The encoder is the sender-side analogue of the generated converter:
     specialized Python source compiled at first use (see
     :mod:`repro.pbio.codegen`).  It produces byte-identical output to
-    :meth:`EncodePlan.encode` and raises the same errors (by falling
-    back to the plan for diagnostics).
+    :meth:`EncodePlan.encode` — or, with ``into=True``, to
+    :meth:`EncodePlan.encode_into`, capacity :class:`EncodeError`
+    carrying ``.needed`` included — and raises the same errors (by
+    falling back to the plan for diagnostics).
     """
-    encoder = getattr(fmt, "_generated_encoder", None)
+    attribute = "_generated_encode_into" if into else "_generated_encoder"
+    encoder = getattr(fmt, attribute, None)
     if encoder is None:
         from repro.pbio.codegen import make_generated_encoder
 
@@ -535,33 +573,9 @@ def get_generated_encoder(fmt: IOFormat):
             registry.counter(
                 "pbio_codegen_total", "converter/encoder cache events",
                 ("kind", "event"),
-            ).labels("encoder", "miss").inc()
-        encoder = make_generated_encoder(fmt)
-        fmt._generated_encoder = encoder  # type: ignore[attr-defined]
-    return encoder
-
-
-def get_generated_encode_into(fmt: IOFormat):
-    """Return (building if necessary) the cached generated in-place encoder.
-
-    The ``encode_into`` counterpart of :func:`get_generated_encoder`:
-    byte-identical to :meth:`EncodePlan.encode_into` (including the
-    capacity :class:`EncodeError` carrying ``.needed``), with the plan
-    walk compiled away so the zero-copy sender allocates only the
-    variable-section parts it must render.
-    """
-    encoder = getattr(fmt, "_generated_encode_into", None)
-    if encoder is None:
-        from repro.pbio.codegen import make_generated_encoder_into
-
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("encode_into", "miss").inc()
-        encoder = make_generated_encoder_into(fmt)
-        fmt._generated_encode_into = encoder  # type: ignore[attr-defined]
+            ).labels("encode_into" if into else "encoder", "miss").inc()
+        encoder = make_generated_encoder(fmt, into=into)
+        setattr(fmt, attribute, encoder)
     return encoder
 
 
@@ -570,18 +584,9 @@ def get_generated_encode_into(fmt: IOFormat):
 _encode_tick = [0]
 
 
-def encode_record(fmt: IOFormat, record: dict, *, mode: str = "generated") -> bytes:
-    """Encode ``record`` per ``fmt``.
-
-    ``mode`` selects the generated encoder (default) or the plan-walking
-    ``"interpreted"`` encoder kept for the sender-side ablation.
-    """
-    if mode == "generated":
-        encoder = get_generated_encoder(fmt)
-    elif mode == "interpreted":
-        encoder = get_encode_plan(fmt).encode
-    else:
-        raise EncodeError(f"unknown encode mode {mode!r}")
+def encode_record(fmt: IOFormat, record: dict) -> bytes:
+    """Encode ``record`` per ``fmt`` with the generated encoder."""
+    encoder = get_generated_encoder(fmt)
     # Read the default-registry global directly: the function call that
     # get_registry() costs is measurable inside the <5 % overhead budget.
     registry = _metrics._default_registry

@@ -16,11 +16,12 @@ receiver's native format —
 
 This module grew three layers on that base (PROTOCOL §16):
 
-- **compiled projections** — :func:`make_projection` compiles the
-  projection plan to a flat generated function (every default baked in
-  as a literal, every copy a direct subscript), with the interpreted
-  closure kept as a value-identical fallback behind the tri-state
-  ``use_codegen`` switch;
+- **one projection plan** — :func:`_plan_steps` decides, per native
+  field, between copy, default and nested projection; the generated
+  converter (:mod:`repro.pbio.codegen`) bakes the plan into the decode
+  routine itself, the reference projection
+  (:mod:`repro.pbio.reference`) walks it per record, and
+  :func:`describe_projection` prints it;
 - **a typed compatibility lattice** — :func:`compare_formats` classifies
   a (wire, native) pair as :class:`Compatibility` ``IDENTITY`` (wire
   bytes are native bytes), ``EQUIVALENT`` (decode needed, projection
@@ -40,18 +41,14 @@ discovered by the time a mismatch can be observed.
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from repro.arch.model import TypeKind
-from repro.errors import ConversionError, DecodeError
+from repro.errors import DecodeError
 from repro.pbio.format import CompiledField, IOFormat
-
-Projection = Callable[[dict], dict]
 
 
 def default_value(field: CompiledField):
@@ -89,19 +86,22 @@ def default_record(fmt: IOFormat) -> dict:
 
 def _plan_steps(
     wire_format: IOFormat, target_format: IOFormat
-) -> list[tuple[str, str, object]]:
-    """The projection plan: one (name, action, extra) step per target field.
+) -> list[tuple[CompiledField, str, object]]:
+    """The projection plan: one (target field, action, extra) step per target field.
 
-    Actions: ``copy`` (wire value kept), ``default`` (extra is the
-    default value), ``nested`` / ``nested_list`` (extra is the
-    (wire, target) nested format pair).
+    Actions: ``copy`` (wire value kept; extra is the wire field),
+    ``default`` (extra is the default value), ``nested`` /
+    ``nested_list`` (extra is the (wire, target) nested format pair).
+    This is the one place the copy/default/nested/drop decision is
+    taken: the converter generator, the reference projection and
+    :func:`describe_projection` all follow these steps.
     """
-    steps: list[tuple[str, str, object]] = []
+    steps: list[tuple[CompiledField, str, object]] = []
     wire_fields = {field.name: field for field in wire_format.compiled_fields}
     for target_field in target_format.compiled_fields:
         wire_field = wire_fields.get(target_field.name)
         if wire_field is None:
-            steps.append((target_field.name, "default", default_value(target_field)))
+            steps.append((target_field, "default", default_value(target_field)))
         elif (
             target_field.nested is not None
             and wire_field.nested is not None
@@ -109,144 +109,16 @@ def _plan_steps(
         ):
             pair = (wire_field.nested, target_field.nested)
             if target_field.static_count > 1:
-                steps.append((target_field.name, "nested_list", pair))
+                steps.append((target_field, "nested_list", pair))
             else:
-                steps.append((target_field.name, "nested", pair))
+                steps.append((target_field, "nested", pair))
         elif target_field.nested is not None or wire_field.nested is not None:
             # Nested on one side only: the shapes are incompatible, treat
             # as unknown and default (matching PBIO's drop semantics).
-            steps.append((target_field.name, "default", default_value(target_field)))
+            steps.append((target_field, "default", default_value(target_field)))
         else:
-            steps.append((target_field.name, "copy", None))
+            steps.append((target_field, "copy", wire_field))
     return steps
-
-
-def make_interpreted_projection(
-    wire_format: IOFormat, target_format: IOFormat
-) -> Projection:
-    """The metadata-walking projection: a flat loop over the plan steps.
-
-    Kept as the executable specification the compiled projection must
-    match value-for-value (including freshness of mutable defaults —
-    every projected record owns its default lists and dicts outright).
-    """
-    plan: list[tuple[str, str, object]] = []
-    for name, action, extra in _plan_steps(wire_format, target_format):
-        if action in ("nested", "nested_list"):
-            extra = make_interpreted_projection(*extra)
-        plan.append((name, action, extra))
-
-    def project(record: dict) -> dict:
-        result: dict = {}
-        for name, action, extra in plan:
-            if action == "copy":
-                result[name] = record[name]
-            elif action == "default":
-                # Deep-copy mutable defaults so records never alias
-                # each other (or the plan) through a defaulted field.
-                result[name] = (
-                    copy.deepcopy(extra)
-                    if isinstance(extra, (list, dict))
-                    else extra
-                )
-            elif action == "nested":
-                result[name] = extra(record[name])
-            else:  # nested_list
-                result[name] = [extra(element) for element in record[name]]
-        return result
-
-    return project
-
-
-def generate_projection_source(
-    wire_format: IOFormat,
-    target_format: IOFormat,
-    function_name: str = "project",
-) -> str:
-    """Python source of a compiled projection for the (wire, target) pair.
-
-    The generated function is a single dict display: copies are direct
-    subscripts, defaults are literals (list/dict literals construct
-    fresh objects per call, so nothing aliases), nested formats inline
-    recursively, nested static arrays become list comprehensions.
-    Exposed separately so tests and ``pbdump --lineage`` can inspect it.
-    """
-    body = _emit_projection(wire_format, target_format, "record", depth=0, indent=2)
-    return f"def {function_name}(record):\n    return {body}\n"
-
-
-def _emit_projection(
-    wire_format: IOFormat,
-    target_format: IOFormat,
-    base: str,
-    depth: int,
-    indent: int,
-) -> str:
-    pad = " " * ((indent - 1) * 4)
-    inner = " " * (indent * 4)
-    entries: list[str] = []
-    for name, action, extra in _plan_steps(wire_format, target_format):
-        if action == "copy":
-            value = f"{base}[{name!r}]"
-        elif action == "default":
-            value = repr(extra)
-        elif action == "nested":
-            value = _emit_projection(
-                *extra, f"{base}[{name!r}]", depth, indent + 1
-            )
-        else:  # nested_list
-            var = f"_e{depth}"
-            element = _emit_projection(*extra, var, depth + 1, indent + 1)
-            value = f"[{element} for {var} in {base}[{name!r}]]"
-        entries.append(f"{inner}{name!r}: {value},")
-    return "{\n" + "\n".join(entries) + f"\n{pad}}}"
-
-
-def make_compiled_projection(
-    wire_format: IOFormat, target_format: IOFormat
-) -> Projection:
-    """Compile and return the generated projection function."""
-    source = generate_projection_source(wire_format, target_format)
-    namespace: dict = {}
-    try:
-        code = compile(
-            source,
-            f"<pbio projection {wire_format.name} -> {target_format.name}>",
-            "exec",
-        )
-        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated projection {wire_format.name!r} -> "
-            f"{target_format.name!r} failed to compile: {exc}\n{source}"
-        ) from exc
-    return namespace["project"]
-
-
-def make_projection(
-    wire_format: IOFormat,
-    target_format: IOFormat,
-    *,
-    use_codegen: bool | None = None,
-) -> Projection:
-    """Build a projection from wire-format records onto ``target_format``.
-
-    The projection plan is computed once (here); applying it per record
-    is flat work over the target's fields.  ``use_codegen`` is the
-    tri-state switch of PROTOCOL §16: ``None`` (default) compiles the
-    projection and falls back to the interpreted closure if generation
-    fails, ``True`` forces compilation (raising
-    :class:`~repro.errors.ConversionError` on failure), ``False``
-    forces the interpreted closure.  Both paths are value-identical.
-    """
-    if use_codegen is False:
-        return make_interpreted_projection(wire_format, target_format)
-    try:
-        return make_compiled_projection(wire_format, target_format)
-    except ConversionError:
-        if use_codegen:
-            raise
-        return make_interpreted_projection(wire_format, target_format)
 
 
 def describe_projection(wire_format: IOFormat, target_format: IOFormat) -> list[str]:
@@ -257,12 +129,10 @@ def describe_projection(wire_format: IOFormat, target_format: IOFormat) -> list[
     the full story of what a receiver does to an evolved record.
     """
     lines: list[str] = []
-    for name, action, extra in _plan_steps(wire_format, target_format):
+    for field, action, extra in _plan_steps(wire_format, target_format):
+        name = field.name
         if action == "copy":
-            wire_field = next(
-                f for f in wire_format.compiled_fields if f.name == name
-            )
-            lines.append(f"copy     {name} ({wire_field.type.render()})")
+            lines.append(f"copy     {name} ({extra.type.render()})")
         elif action == "default":
             lines.append(f"default  {name} = {extra!r}")
         else:

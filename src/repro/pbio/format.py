@@ -45,7 +45,7 @@ from repro.arch.model import ArchitectureModel, TypeKind, make_types
 from repro.arch.registry import all_architectures
 from repro.errors import DecodeError, FormatRegistrationError
 from repro.pbio.field import IOField
-from repro.pbio.types import ParsedFieldType, kind_of
+from repro.pbio.types import ParsedFieldType, is_identifier, kind_of
 
 _MAGIC = b"PBF1"
 
@@ -103,10 +103,16 @@ class IOFormat:
         record_length: int | None = None,
         catalog: dict[str, "IOFormat"] | None = None,
     ) -> None:
-        if not name:
-            raise FormatRegistrationError("format name may not be empty")
         if not fields:
             raise FormatRegistrationError(f"format {name!r} declares no fields")
+        # Names end up inside run-time generated source; this is the
+        # boundary (metadata from the wire is rebuilt through here too).
+        for checked in (name, *(field.name for field in fields)):
+            if not is_identifier(checked):
+                raise FormatRegistrationError(
+                    f"format {name!r}: {checked!r} is not a valid name "
+                    f"(names must match [A-Za-z_][A-Za-z0-9_]*)"
+                )
         self.name = name
         self.arch = arch
         self.fields: tuple[IOField, ...] = tuple(fields)

@@ -117,9 +117,7 @@ class IOFileReader:
             )
         self.records_read = 0
 
-    def records(
-        self, *, expect: str | None = None, mode: str = "generated"
-    ) -> Iterator[DecodedRecord]:
+    def records(self, *, expect: str | None = None) -> Iterator[DecodedRecord]:
         """Yield every data record in file order.
 
         ``expect`` projects records onto a format registered in the
@@ -142,7 +140,7 @@ class IOFileReader:
             if kind != KIND_DATA:
                 raise DecodeError(f"unexpected message kind {kind} in PBIO file")
             self.records_read += 1
-            yield self.context.decode(message, expect=expect, mode=mode)
+            yield self.context.decode(message, expect=expect)
 
     def close(self) -> None:
         """Close the underlying file if this reader opened it."""

@@ -35,7 +35,8 @@ PBIO_KINDS: dict[str, TypeKind] = {
 _ARRAY_RE = re.compile(r"^(?P<base>[^\[\]]+?)\s*\[(?P<dim>[^\[\]]*)\]$")
 
 #: numpy dtype characters for bulk numeric kinds (no byte-order prefix);
-#: shared by the bulk array helpers and the encoder's ndarray fast path.
+#: shared by :meth:`RecordView.array <repro.pbio.view.RecordView.array>`,
+#: the columnar codec and the encoder's ndarray fast path.
 DTYPE_CHARS: dict[tuple[TypeKind, int], str] = {
     (TypeKind.SIGNED_INT, 1): "i1",
     (TypeKind.SIGNED_INT, 2): "i2",
@@ -48,6 +49,34 @@ DTYPE_CHARS: dict[tuple[TypeKind, int], str] = {
     (TypeKind.FLOAT, 4): "f4",
     (TypeKind.FLOAT, 8): "f8",
 }
+
+
+def __getattr__(name: str):
+    """``numpy``: the module if installed, else ``None`` — detected once.
+
+    Resolved on first use rather than at import: most processes never
+    touch a batch or an array view, and numpy would add its import time
+    and ~30 MiB to each of them.  Every numpy-or-pure decision in
+    ``repro.pbio`` reads this one attribute (tests patch it to ``None``
+    to run the pure-Python paths with numpy installed).
+    """
+    if name != "numpy":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global numpy
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    return numpy
+
+
+def is_identifier(name: str) -> bool:
+    """True for names matching ``[A-Za-z_][A-Za-z0-9_]*``.
+
+    The grammar of every format, field and length-field name: names end
+    up inside run-time generated source, so nothing else is admitted.
+    """
+    return name.isascii() and name.isidentifier()
 
 
 @dataclass(frozen=True)
@@ -122,7 +151,7 @@ def parse_field_type(type_string: str) -> ParsedFieldType:
                 f"static array size must be positive in {type_string!r}"
             )
         return ParsedFieldType(base=base, count=count)
-    if not dim.replace("_", "").isalnum() or dim[0].isdigit():
+    if not is_identifier(dim):
         raise FormatRegistrationError(
             f"array dimension {dim!r} is neither a size nor a field name"
         )

@@ -5,7 +5,10 @@ In C, PBIO's homogeneous receive path hands the application a pointer
 place.  :class:`RecordView` is the Python analogue: a mapping over an
 NDR payload that unpacks a field only when it is accessed, and unpacks
 it directly from the buffer with the offsets and codes of the wire
-format's encode plan.
+format's encode plan.  :meth:`RecordView.array` goes one step further
+for bulk numeric arrays — the paper's "scientific or engineering data":
+the wire holds the sender's native array bytes, so numpy can alias them
+in place, whatever the sender's byte order.
 
 This matters for the paper's selective-consumer workloads (a display
 point that reads two fields of a forty-field record): the eager
@@ -23,16 +26,18 @@ from __future__ import annotations
 import struct
 from typing import Iterator, Mapping
 
-from repro.arch.model import TypeKind
 from repro.errors import DecodeError
+from repro.pbio import types as _types
 from repro.pbio.codegen import _read_string
+from repro.pbio.encode import _FixedLeaf, get_encode_plan
 from repro.pbio.format import CompiledField, IOFormat
+from repro.pbio.types import DTYPE_CHARS
 
 
 class RecordView(Mapping):
     """A lazy, read-only mapping over one NDR payload."""
 
-    __slots__ = ("_payload", "_format", "_base", "_order", "_cache")
+    __slots__ = ("_payload", "_format", "_plan", "_base", "_cache")
 
     def __init__(self, fmt: IOFormat, payload, *, base: int = 0) -> None:
         """``payload`` may be ``bytes``, ``bytearray``, or ``memoryview``.
@@ -49,8 +54,8 @@ class RecordView(Mapping):
             )
         self._payload = payload
         self._format = fmt
+        self._plan = get_encode_plan(fmt)
         self._base = base
-        self._order = "<" if fmt.arch.is_little_endian else ">"
         self._cache: dict[str, object] = {}
 
     # -- Mapping interface ---------------------------------------------------
@@ -59,7 +64,14 @@ class RecordView(Mapping):
         if name in self._cache:
             return self._cache[name]
         field = self._format.field(name)  # raises for unknown names
-        value = self._read_field(field)
+        try:
+            value = self._read_field(field)
+        except (struct.error, ValueError, IndexError) as exc:
+            # A forged count or pointer must not leak struct.error.
+            raise DecodeError(
+                f"corrupt payload for format {self._format.name!r}: "
+                f"field {name!r}: {exc}"
+            ) from exc
         self._cache[name] = value
         return value
 
@@ -74,64 +86,95 @@ class RecordView(Mapping):
 
     # -- value extraction ------------------------------------------------------
 
+    def _unpack(self, leaf: _FixedLeaf) -> tuple:
+        """The leaf's raw value(s), read with the plan's offset and code."""
+        return struct.unpack_from(
+            self._plan.order + leaf.code, self._payload, self._base + leaf.offset
+        )
+
     def _read_field(self, field: CompiledField):
-        offset = self._base + field.offset
+        leaves = self._plan.leaf_by_path
+        path = (field.name,)
         if field.nested is not None:
+            offset = self._base + field.offset
             stride = field.nested.record_length
             views = [
                 RecordView(field.nested, self._payload, base=offset + i * stride)
                 for i in range(field.static_count)
             ]
             return views[0] if field.static_count == 1 else views
-        if field.type.is_dynamic_array:
-            pointer = self._read_pointer(offset)
-            if not pointer:
-                return []
-            count_field = self._format.field(field.type.length_field)
-            count = self._read_scalar(count_field, self._base + count_field.offset)
-            code = self._scalar_code(field)
-            return list(
-                struct.unpack_from(f"{self._order}{count}{code}", self._payload, pointer)
-            )
         if field.is_string:
-            pointers = [
-                self._read_pointer(offset + i * self._format.arch.pointer_size)
+            if field.static_count == 1:
+                return _read_string(self._payload, self._unpack(leaves[path])[0])
+            return [
+                _read_string(self._payload, self._unpack(leaves[path + (str(i),)])[0])
                 for i in range(field.static_count)
             ]
-            strings = [_read_string(self._payload, p) for p in pointers]
-            return strings[0] if field.static_count == 1 else strings
-        if field.kind == TypeKind.CHAR and field.type.is_static_array:
-            # bytes() the (small, bounded) slice: memoryview has no split.
-            raw = bytes(self._payload[offset : offset + field.static_count])
-            return raw.split(b"\x00", 1)[0].decode("utf-8")
-        if field.type.is_static_array:
-            code = self._scalar_code(field)
+        leaf = leaves[path]
+        values = self._unpack(leaf)
+        if leaf.role == "array":
+            return list(values)
+        (value,) = values
+        if leaf.role == "dyn_ptr":
+            if not value:
+                return []
+            (count,) = self._unpack(leaves[(field.type.length_field,)])
+            code = self._plan.var_by_path[path].element_code
             return list(
                 struct.unpack_from(
-                    f"{self._order}{field.static_count}{code}", self._payload, offset
+                    f"{self._plan.order}{count}{code}", self._payload, value
                 )
             )
-        return self._read_scalar(field, offset)
-
-    def _scalar_code(self, field: CompiledField) -> str:
-        from repro.pbio.encode import scalar_code
-
-        return scalar_code(field.kind, field.size, context=f"field {field.name}")
-
-    def _read_scalar(self, field: CompiledField, offset: int):
-        code = self._scalar_code(field)
-        (value,) = struct.unpack_from(self._order + code, self._payload, offset)
-        if field.kind == TypeKind.BOOLEAN:
-            return bool(value)
-        if field.kind == TypeKind.CHAR:
+        if leaf.role == "chararray":
+            return value.split(b"\x00", 1)[0].decode("utf-8")
+        if leaf.role == "char":
             return value.decode("latin-1")
-        return value
+        if leaf.role == "bool":
+            return bool(value)
+        return value  # scalar or count
 
-    def _read_pointer(self, offset: int) -> int:
-        arch = self._format.arch
-        code = arch.struct_code(TypeKind.POINTER, arch.pointer_size)
-        (value,) = struct.unpack_from(code, self._payload, offset)
-        return value
+    def array(self, name: str):
+        """A zero-copy, read-only ``ndarray`` over a numeric array field.
+
+        Works for static arrays (in the base record) and dynamic arrays
+        (via the pointer and count fields).  The array aliases the
+        payload and keeps the sender's byte order in its dtype — numpy
+        converts lazily per access, or once with ``astype``.  Raises
+        :class:`~repro.errors.DecodeError` when the field is not a bulk
+        numeric array, when it extends past the payload, or when numpy
+        is not installed.
+        """
+        numpy = _types.numpy
+        if numpy is None:
+            raise DecodeError("RecordView.array needs numpy, which is not installed")
+        field = self._format.field(name)
+        leaf = self._plan.leaf_by_path.get((name,))
+        char = DTYPE_CHARS.get((field.kind, field.size))
+        if leaf is None or leaf.role not in ("array", "dyn_ptr") or char is None:
+            raise DecodeError(f"field {name!r} is not a bulk numeric array")
+        dtype = numpy.dtype(self._plan.order + char)
+        try:
+            if leaf.role == "array":
+                count, offset = leaf.count, self._base + leaf.offset
+            else:
+                (offset,) = self._unpack(leaf)
+                if offset == 0:
+                    return numpy.empty(0, dtype=dtype)
+                (count,) = self._unpack(
+                    self._plan.leaf_by_path[(field.type.length_field,)]
+                )
+                if count < 0 or offset + count * field.size > len(self._payload):
+                    raise ValueError("the array extends past the payload")
+            array = numpy.frombuffer(
+                self._payload, dtype=dtype, count=count, offset=offset
+            )
+        except (struct.error, ValueError) as exc:
+            raise DecodeError(
+                f"corrupt payload for format {self._format.name!r}: "
+                f"field {name!r}: {exc}"
+            ) from exc
+        array.flags.writeable = False
+        return array
 
     # -- conveniences ---------------------------------------------------------------
 

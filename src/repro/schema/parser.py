@@ -85,8 +85,23 @@ def _annotation_text(annotation: Element) -> str:
     return "\n".join(part for part in parts if part)
 
 
+def _require_name(node: Element, attribute: str = "name") -> str:
+    """A type, element or length-field name; ``[A-Za-z_][A-Za-z0-9_]*`` only.
+
+    Schema names become format and field names, which end up inside
+    run-time generated source — and a schema may come from a URL.
+    """
+    name = node.require(attribute)
+    if not (name.isascii() and name.isidentifier()):
+        raise SchemaError(
+            f"<{node.tag}> at line {node.line}: {attribute} {name!r} is not "
+            f"a valid name (names must match [A-Za-z_][A-Za-z0-9_]*)"
+        )
+    return name
+
+
 def _build_complex_type(node: Element, schema: SchemaDocument) -> ComplexType:
-    name = node.require("name")
+    name = _require_name(node)
     documentation = ""
     element_nodes: list[Element] = []
     for child in node.children:
@@ -120,7 +135,7 @@ def _build_complex_type(node: Element, schema: SchemaDocument) -> ComplexType:
 
 
 def _build_element(node: Element, owner: str) -> ElementDecl:
-    name = node.require("name")
+    name = _require_name(node)
     type_attr = node.require("type")
     type_namespace, type_name = node.resolve_value_qname(type_attr)
     min_occurs = _parse_min_occurs(node, owner, name)
@@ -132,7 +147,9 @@ def _build_element(node: Element, owner: str) -> ElementDecl:
     elif max_occurs in ("*", "unbounded"):
         occurs = Occurs.dynamic(f"{name}_count", synthesized=True, min_occurs=min_occurs)
     else:
-        occurs = Occurs.dynamic(max_occurs, min_occurs=min_occurs)
+        occurs = Occurs.dynamic(
+            _require_name(node, "maxOccurs"), min_occurs=min_occurs
+        )
     return ElementDecl(
         name=name,
         type_namespace=type_namespace,
@@ -202,7 +219,7 @@ def _resolve_dynamic_lengths(
 
 
 def _build_simple_type(node: Element) -> SimpleType:
-    name = node.require("name")
+    name = _require_name(node)
     restriction = node.find("restriction")
     if restriction is None:
         raise SchemaError(

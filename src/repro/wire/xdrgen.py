@@ -27,6 +27,7 @@ from typing import Callable
 
 from repro.arch.model import TypeKind
 from repro.errors import WireError
+from repro.pbio.codegen import _compile
 from repro.pbio.format import CompiledField, IOFormat
 from repro.wire.xdr import XDRCodec, _NULL_STRING
 
@@ -310,8 +311,7 @@ def make_generated_xdr(fmt: IOFormat) -> tuple[Callable, Callable]:
         "_NULL": struct.pack(">I", _NULL_STRING),
         "WireError": WireError,
     }
-    exec(compile(source, f"<xdr stubs for {fmt.name}>", "exec"), namespace)
-    fast_encode = namespace["xdr_encode"]
+    fast_encode = _compile(source, "xdr_encode", f"xdr stubs for {fmt.name}", namespace)
     fast_decode = namespace["xdr_decode"]
     fallback = XDRCodec(fmt)
 

@@ -1,6 +1,7 @@
 """Top-level shared fixtures: architecture contexts used across suites."""
 
 import asyncio
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +28,27 @@ def sparc_context():
 def x86_context():
     """A little-endian LP64 endpoint (a modern host)."""
     return IOContext(X86_64)
+
+
+@pytest.fixture(scope="session")
+def pure_python():
+    """``with pure_python():`` runs ``repro.pbio`` as on a host without numpy.
+
+    numpy is detected once into ``repro.pbio.types.numpy``; patching that
+    one attribute to ``None`` selects every pure-Python path, so one
+    test can produce both paths' output and compare.  (Session-scoped
+    and stateless, so hypothesis tests may use it.)
+    """
+    @contextmanager
+    def without_numpy():
+        patch = pytest.MonkeyPatch()
+        patch.setattr("repro.pbio.types.numpy", None)
+        try:
+            yield
+        finally:
+            patch.undo()
+
+    return without_numpy
 
 
 @pytest.fixture

@@ -255,3 +255,46 @@ class TestFileRegistration:
         path.write_text(FIGURE_9, encoding="utf-8")
         fmt = tool_on(SPARC_32).register_file(path)[0]
         assert fmt.record_length == 52
+
+
+class TestHostileSchemaNames:
+    """A schema fetched from a metadata URL must not run code in the client."""
+
+    INJECTION = """<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name='x" + str(__import__("builtins").print("INJECTED")) + "'>
+    <xsd:sequence>
+      <xsd:element name="n" type="xsd:int"/>
+      <xsd:element name="arr" type="xsd:float" maxOccurs="n"/>
+    </xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>"""
+
+    def test_injection_through_type_name_rejected(self, capsys, monkeypatch):
+        def compiled(*args, **kwargs):
+            raise AssertionError("a rejected schema must never reach compile")
+
+        monkeypatch.setattr("repro.pbio.codegen._compile", compiled)
+        context = IOContext(X86_64)
+        with pytest.raises(SchemaError, match="not a valid name"):
+            XML2Wire(context).register_schema(self.INJECTION)
+        assert context.format_names() == []
+        assert "INJECTED" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "attribute, value",
+        [("name", "x; import os"), ("name", 'x"y'), ("maxOccurs", "n; x")],
+    )
+    def test_element_and_length_names_rejected(self, attribute, value):
+        element = {"name": "arr", "maxOccurs": "n"}
+        element[attribute] = value
+        schema = (
+            '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">'
+            '<xsd:complexType name="T"><xsd:sequence>'
+            '<xsd:element name="n" type="xsd:int"/>'
+            f"<xsd:element name='{element['name']}' type='xsd:float' "
+            f"maxOccurs='{element['maxOccurs']}'/>"
+            "</xsd:sequence></xsd:complexType></xsd:schema>"
+        )
+        with pytest.raises(SchemaError, match="not a valid name"):
+            XML2Wire(IOContext(X86_64)).register_schema(schema)

@@ -11,7 +11,12 @@ import time
 
 import pytest
 
-from repro.errors import DiscoveryError, MetadataHTTPError, TransportError
+from repro.errors import (
+    DiscoveryError,
+    MetadataHTTPError,
+    TransportError,
+    TransportTimeoutError,
+)
 from repro.faults import PoolFaultPlan
 from repro.metaserver.client import MetadataClient, http_get, http_post
 from repro.mp import pool as pool_mod
@@ -145,17 +150,39 @@ class TestServing:
             pool.publish_schema("/gone-soon", "<x/>")
             assert http_get(pool.url_for("/gone-soon")) == b"<x/>"
             pool.unpublish("/gone-soon")
+            # Acknowledged: no worker still serves it, no waiting.
+            for _ in range(6):
+                with pytest.raises(MetadataHTTPError):
+                    http_get(pool.url_for("/gone-soon"))
 
-            def gone_everywhere():
-                for _ in range(6):
-                    try:
-                        http_get(pool.url_for("/gone-soon"))
-                    except MetadataHTTPError:
-                        continue
-                    return False
-                return True
+    @both_modes()
+    def test_publish_and_unpublish_are_acknowledged(self, mode):
+        """200 rounds of publish -> immediate GET -> unpublish -> immediate
+        404, each fetched often enough to land on every worker (handoff
+        deals connections round-robin; ``/mp/worker`` names who answered).
+        Fails within a few rounds if either broadcast returns un-acked."""
+        with WorkerPool(workers=2, mode=mode) as pool:
+            answered = set()
+            for round_number in range(200):
+                path = f"/round/{round_number}"
+                text = f"<round n='{round_number}'/>"
+                url = pool.publish_schema(path, text)
+                for _ in range(4):
+                    assert http_get(url) == text.encode()
+                pool.unpublish(path)
+                for _ in range(4):
+                    with pytest.raises(MetadataHTTPError):
+                        http_get(url)
+                answered.add(json.loads(http_get(pool.url_for("/mp/worker")))["worker"])
+            assert answered == {0, 1}
 
-            wait_until(gone_everywhere, message="unpublish to converge")
+    def test_unacknowledged_publish_times_out(self, monkeypatch):
+        """A worker that never acks turns into a typed timeout, not a hang."""
+        monkeypatch.setattr(pool_mod, "_CONVERGE_TIMEOUT", 0.3)
+        with WorkerPool(workers=1) as pool:
+            monkeypatch.setattr(pool, "_record_ack", lambda index, seq: None)
+            with pytest.raises(TransportTimeoutError, match="not acknowledged"):
+                pool.publish_schema("/never-acked", "<x/>")
 
 
 class TestCrossWorkerPublish:
@@ -166,20 +193,11 @@ class TestCrossWorkerPublish:
                 b"<late/>",
                 content_type="application/xml",
             )
-            assert json.loads(response) == {"published": True}
-
-            def on_every_worker():
-                # Consecutive fetches land on arbitrary workers; a run
-                # of successes means the relay reached all of them.
-                for _ in range(10):
-                    try:
-                        if http_get(pool.url_for("/late/doc")) != b"<late/>":
-                            return False
-                    except MetadataHTTPError:
-                        return False
-                return True
-
-            wait_until(on_every_worker, message="publish to converge")
+            assert json.loads(response) == {"published": True, "converged": True}
+            # The parent's re-broadcast was acknowledged before the
+            # answer: every worker serves the document already.
+            for _ in range(10):
+                assert http_get(pool.url_for("/late/doc")) == b"<late/>"
 
     def test_publish_needs_absolute_path(self):
         with WorkerPool(workers=1) as pool:

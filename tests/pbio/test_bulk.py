@@ -1,4 +1,5 @@
-"""Unit tests for bulk numpy array support (zero-copy NDR views)."""
+"""Unit tests for bulk numpy array support: ndarray-in encoding and
+zero-copy ``RecordView.array`` views out of the wire buffer."""
 
 import numpy
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from repro.arch import SPARC_32, X86_64
 from repro.errors import DecodeError
 from repro.pbio import IOContext, IOField, RecordView
-from repro.pbio.bulk import array_view, native_copy, pack_array, wire_dtype
-from repro.pbio.encode import encode_record
+from repro.pbio.encode import encode_record, get_encode_plan
 
 
 @pytest.fixture
@@ -42,9 +42,9 @@ class TestEncodeWithNumpy:
             "conc": numpy.linspace(0, 1, 17),
             "grid": [1.0, 2.0, 3.0, 4.0],
         }
-        assert encode_record(chem_format, record, mode="generated") == encode_record(
-            chem_format, record, mode="interpreted"
-        )
+        assert encode_record(chem_format, record) == get_encode_plan(
+            chem_format
+        ).encode(record)
 
     def test_wrong_dtype_converted(self, chem_format):
         as_f32 = encode_record(
@@ -73,7 +73,7 @@ class TestArrayView:
             chem_format, {"step": 7, "conc": values, "grid": [1, 2, 3, 4]}
         )
         view = RecordView(chem_format, payload)
-        array = array_view(view, "conc")
+        array = view.array("conc")
         assert array.dtype == numpy.dtype(">f8")  # big-endian wire, intact
         numpy.testing.assert_array_equal(array.astype("f8"), values)
         # Genuinely aliasing the payload: no-copy semantics.
@@ -83,7 +83,7 @@ class TestArrayView:
         payload = encode_record(
             chem_format, {"step": 1, "conc": [], "grid": [1.0, 2.0, 3.0, 4.0]}
         )
-        array = array_view(RecordView(chem_format, payload), "grid")
+        array = RecordView(chem_format, payload).array("grid")
         assert array.dtype == numpy.dtype(">f4")
         numpy.testing.assert_array_equal(array.astype("f4"), [1, 2, 3, 4])
 
@@ -91,13 +91,13 @@ class TestArrayView:
         payload = encode_record(
             chem_format, {"step": 1, "conc": [], "grid": [0, 0, 0, 0]}
         )
-        assert len(array_view(RecordView(chem_format, payload), "conc")) == 0
+        assert len(RecordView(chem_format, payload).array("conc")) == 0
 
     def test_views_are_readonly(self, chem_format):
         payload = encode_record(
             chem_format, {"step": 1, "conc": [1.0], "grid": [0, 0, 0, 0]}
         )
-        array = array_view(RecordView(chem_format, payload), "conc")
+        array = RecordView(chem_format, payload).array("conc")
         with pytest.raises((ValueError, RuntimeError)):
             array[0] = 9.0
 
@@ -105,7 +105,7 @@ class TestArrayView:
         payload = encode_record(
             chem_format, {"step": 1, "conc": [1.0, 2.0], "grid": [0, 0, 0, 0]}
         )
-        copied = native_copy(array_view(RecordView(chem_format, payload), "conc"))
+        copied = RecordView(chem_format, payload).array("conc").astype("=f8")
         assert copied.dtype.byteorder in ("=", "<", ">")
         assert copied.dtype == numpy.dtype("f8").newbyteorder("=")
         numpy.testing.assert_array_equal(copied, [1.0, 2.0])
@@ -114,8 +114,8 @@ class TestArrayView:
         payload = encode_record(
             chem_format, {"step": 1, "conc": [], "grid": [0, 0, 0, 0]}
         )
-        with pytest.raises(DecodeError, match="not an array"):
-            array_view(RecordView(chem_format, payload), "step")
+        with pytest.raises(DecodeError, match="not a bulk numeric array"):
+            RecordView(chem_format, payload).array("step")
 
     def test_string_array_rejected(self, x86_context):
         fmt = x86_context.register_format(
@@ -123,7 +123,7 @@ class TestArrayView:
         )
         payload = encode_record(fmt, {"names": ["a", "b"]})
         with pytest.raises(DecodeError, match="not a bulk numeric"):
-            array_view(RecordView(fmt, payload), "names")
+            RecordView(fmt, payload).array("names")
 
     def test_corrupt_pointer_detected(self, chem_format):
         payload = bytearray(
@@ -132,12 +132,17 @@ class TestArrayView:
         # Point conc past the end (offset 8 is the conc pointer slot).
         payload[8:12] = (10**6).to_bytes(4, "big")
         with pytest.raises(DecodeError, match="past the payload"):
-            array_view(RecordView(chem_format, bytes(payload)), "conc")
+            RecordView(chem_format, bytes(payload)).array("conc")
 
 
 class TestHelpers:
     def test_wire_dtype_matches_architecture(self, chem_format):
-        assert wire_dtype(chem_format, chem_format.field("conc")) == numpy.dtype(">f8")
+        payload = encode_record(
+            chem_format, {"step": 1, "conc": [1.0], "grid": [0, 0, 0, 0]}
+        )
+        view = RecordView(chem_format, payload)
+        assert view.array("conc").dtype == numpy.dtype(">f8")
+        assert view.array("grid").dtype == numpy.dtype(">f4")
 
     def test_pack_array_homogeneous_is_plain_bytes(self, x86_context):
         fmt = x86_context.register_format(
@@ -146,12 +151,15 @@ class TestHelpers:
             record_length=16,
         )
         values = numpy.array([1.0, 2.0, 3.0])
-        assert pack_array(fmt, "d", values) == values.tobytes()
+        payload = encode_record(fmt, {"d": values})
+        assert payload[16:] == values.tobytes()
 
     def test_pack_array_foreign_order_swaps(self, sparc_context, chem_format):
         values = numpy.array([1.0, 2.0])
-        packed = pack_array(chem_format, "conc", values)
-        assert packed == values.astype(">f8").tobytes()
+        payload = encode_record(
+            chem_format, {"step": 1, "conc": values, "grid": [0, 0, 0, 0]}
+        )
+        assert payload[32:] == values.astype(">f8").tobytes()
 
     def test_full_roundtrip_through_view(self, chem_format):
         """numpy in, numpy out, across simulated architectures."""
@@ -161,5 +169,12 @@ class TestHelpers:
         )
         # The receiver (this host) views the big-endian wire data in
         # place and converts once, vectorized.
-        array = native_copy(array_view(RecordView(chem_format, payload), "conc"))
+        array = RecordView(chem_format, payload).array("conc").astype("=f8")
         numpy.testing.assert_array_equal(array, values)
+
+    def test_array_without_numpy_is_a_typed_error(self, chem_format, pure_python):
+        payload = encode_record(
+            chem_format, {"step": 1, "conc": [1.0], "grid": [0, 0, 0, 0]}
+        )
+        with pure_python(), pytest.raises(DecodeError, match="needs numpy"):
+            RecordView(chem_format, payload).array("conc")

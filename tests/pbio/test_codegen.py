@@ -6,13 +6,11 @@ import pytest
 
 from repro.arch import SPARC_32, X86_64
 from repro.pbio import IOContext, IOField
-from repro.pbio.codegen import (
-    generate_converter_source,
-    make_generated_converter,
-    make_interpreted_converter,
-)
-from repro.pbio.encode import encode_record
+from repro.pbio.codegen import generate_converter_source, make_converter
+from repro.pbio.encode import encode_record, get_encode_plan
+from repro.pbio.reference import make_interpreted_converter
 
+from tests.golden import vectors
 from tests.pbio.conftest import ASDOFF_RECORD, register_asdoff
 
 
@@ -48,10 +46,27 @@ class TestGeneratedSource:
         assert "'<" in generate_converter_source(little)
         assert "'>" in generate_converter_source(big)
 
+    def test_no_target_is_target_equals_wire(self, any_arch):
+        """One generator: a record in its own wire shape is target=wire."""
+        fmt = register_asdoff(IOContext(any_arch))
+        assert generate_converter_source(fmt) == generate_converter_source(fmt, fmt)
+
+    @pytest.mark.parametrize("name", vectors.VECTOR_NAMES)
+    def test_golden_formats_unpack_the_fixed_region_once(self, name):
+        """Exactly one ``unpack_from`` covers the fixed region of each
+        golden-vector format; the rest are one per dynamic array."""
+        _, fmt, _ = vectors.build(name)
+        plan = get_encode_plan(fmt)
+        source = generate_converter_source(fmt)
+        fixed = f"unpack_from({plan.fixed_struct.format!r}, payload, 0)"
+        assert source.count(fixed) == 1
+        arrays = sum(item.kind == "array" for item in plan.var_items)
+        assert source.count("unpack_from(") == 1 + arrays
+
     def test_custom_function_name(self):
         ctx = IOContext(SPARC_32)
         fmt = ctx.register_format("t", [IOField("a", "integer", 4, 0)])
-        assert generate_converter_source(fmt, "my_conv").startswith("def my_conv(")
+        assert generate_converter_source(fmt, function_name="my_conv").startswith("def my_conv(")
 
 
 class TestGeneratedVsInterpreted:
@@ -61,7 +76,7 @@ class TestGeneratedVsInterpreted:
         ctx = IOContext(any_arch)
         fmt = register_asdoff(ctx)
         payload = encode_record(fmt, ASDOFF_RECORD)
-        generated = make_generated_converter(fmt)
+        generated = make_converter(fmt)
         interpreted = make_interpreted_converter(fmt)
         assert generated(payload) == interpreted(payload) == ASDOFF_RECORD
 
@@ -92,7 +107,7 @@ class TestGeneratedVsInterpreted:
             "flag": True,
         }
         payload = encode_record(outer, record)
-        assert make_generated_converter(outer)(payload) == record
+        assert make_converter(outer)(payload) == record
         assert make_interpreted_converter(outer)(payload) == record
 
     def test_multiple_dynamic_arrays(self):
@@ -109,7 +124,7 @@ class TestGeneratedVsInterpreted:
         )
         record = {"na": 2, "nb": 3, "a": [1.0, 2.0], "b": [7, 8, 9]}
         payload = encode_record(fmt, record)
-        assert make_generated_converter(fmt)(payload) == record
+        assert make_converter(fmt)(payload) == record
         assert make_interpreted_converter(fmt)(payload) == record
 
 
@@ -117,7 +132,7 @@ class TestGeneratedConverterBehaviour:
     def test_converter_is_pure_and_reusable(self):
         ctx = IOContext(SPARC_32)
         fmt = register_asdoff(ctx)
-        convert = make_generated_converter(fmt)
+        convert = make_converter(fmt)
         payload = encode_record(fmt, ASDOFF_RECORD)
         assert convert(payload) == convert(payload) == ASDOFF_RECORD
 
@@ -127,7 +142,7 @@ class TestGeneratedConverterBehaviour:
         ctx = IOContext(SPARC_32)
         fmt = ctx.register_format("t", [IOField("v", "integer", 4, 0)])
         payload = struct.pack(">i", 0x01020304)
-        assert make_generated_converter(fmt)(payload) == {"v": 0x01020304}
+        assert make_converter(fmt)(payload) == {"v": 0x01020304}
 
     def test_corrupt_string_offset_raises_cleanly(self, x86_context):
         fmt = x86_context.register_format(

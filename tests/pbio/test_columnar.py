@@ -1,7 +1,7 @@
 """Unit tests for the columnar bulk codec (repro.pbio.columnar).
 
 Round-trip coverage lives in tests/property and tests/wire; this file
-pins the codec's edges — input validation, the numpy tri-state, the
+pins the codec's edges — input validation, numpy detection, the
 count cross-checks, the zero-copy :class:`ColumnBatchView` — plus the
 batch metrics counters.
 """
@@ -10,14 +10,8 @@ import pytest
 
 from repro.core.xml2wire import XML2Wire
 from repro.errors import DecodeError, EncodeError
-from repro.pbio import (
-    ColumnBatchView,
-    IOContext,
-    decode_batch_payload,
-    encode_batch_payload,
-    get_columnar_plan,
-)
-from repro.pbio.columnar import _numpy_or_none
+from repro.pbio import ColumnBatchView, IOContext, get_columnar_plan
+from repro.pbio import types as pbio_types
 from repro.workloads import (
     ASDOFF_B_SCHEMA,
     ASDOFF_CD_SCHEMA,
@@ -26,7 +20,7 @@ from repro.workloads import (
     WeatherWorkload,
 )
 
-HAVE_NUMPY = _numpy_or_none() is not None
+HAVE_NUMPY = pbio_types.numpy is not None
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -86,45 +80,41 @@ class TestInputValidation:
 
 
 class TestNumpyTriState:
-    def test_auto_and_explicit_paths_agree(self, weather):
+    """numpy is detected, never asked for: both paths, same bytes."""
+
+    def test_auto_and_explicit_paths_agree(self, weather, pure_python):
         context, fmt, workload = weather
         records = workload.batch(16)
-        auto = context.encode_batch(fmt, records)
-        pure = context.encode_batch(fmt, records, use_numpy=False)
-        assert auto == pure
-        if HAVE_NUMPY:
-            assert context.encode_batch(fmt, records, use_numpy=True) == auto
+        detected = context.encode_batch(fmt, records)
+        with pure_python():
+            assert context.encode_batch(fmt, records) == detected
 
-    def test_require_numpy_raises_when_absent(self, weather, monkeypatch):
+    def test_require_numpy_raises_when_absent(self, weather, pure_python):
+        """Column views are the one thing that needs numpy: typed error."""
         context, fmt, workload = weather
-        records = workload.batch(2)
-        message = context.encode_batch(fmt, records)
-        import repro.pbio.columnar as columnar
+        message = context.encode_batch(fmt, workload.batch(2))
+        with pure_python():
+            view = context.decode_batch_view(message)
+            with pytest.raises(DecodeError, match="needs numpy"):
+                view.column(fmt.field_names()[0])
+            assert view.row(0) == context.decode_batch(message)[0]
 
-        monkeypatch.setattr(columnar, "_numpy_or_none", lambda: None)
-        with pytest.raises(EncodeError):
-            context.encode_batch(fmt, records, use_numpy=True)
-        with pytest.raises(DecodeError):
-            context.decode_batch(message, use_numpy=True)
-
-    def test_pure_python_decode_without_numpy(self, weather, monkeypatch):
-        """With numpy gone entirely, auto mode still round-trips."""
+    def test_pure_python_decode_without_numpy(self, weather, pure_python):
+        """With numpy gone entirely, batches still round-trip."""
         context, fmt, workload = weather
         records = workload.batch(8)
         message = context.encode_batch(fmt, records)
-        import repro.pbio.columnar as columnar
-
-        monkeypatch.setattr(columnar, "_numpy_or_none", lambda: None)
-        assert context.encode_batch(fmt, records) == message
-        assert list(context.decode_batch(message)) == records
+        with pure_python():
+            assert context.encode_batch(fmt, records) == message
+            assert list(context.decode_batch(message)) == records
 
 
 class TestPayloadHelpers:
     def test_payload_roundtrip_without_header(self, asdoff_b):
         context, fmt = asdoff_b
         records = AirlineWorkload(seed=9).batch_b(6)
-        payload = encode_batch_payload(fmt, records)
-        assert decode_batch_payload(fmt, payload) == records
+        plan = get_columnar_plan(fmt)
+        assert plan.decode_records(plan.encode(records)) == records
 
     def test_decoded_batch_sequence_protocol(self, asdoff_b):
         context, fmt = asdoff_b

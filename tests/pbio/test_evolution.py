@@ -7,8 +7,10 @@ from repro.pbio.evolution import (
     compare_formats,
     default_record,
     formats_compatible,
-    make_projection,
 )
+from repro.pbio.codegen import make_converter
+from repro.pbio.encode import encode_record
+from repro.pbio.reference import reference_decode
 
 
 def v1_fields(arch):
@@ -101,9 +103,9 @@ class TestDefaults:
             "new",
             [IOField("x", "integer", 4, 0), IOField("extra", "integer[2]", 4, 4)],
         )
-        project = make_projection(old, new)
-        first = project({"x": 1})
-        second = project({"x": 2})
+        convert = make_converter(old, new)
+        first = convert(encode_record(old, {"x": 1}))
+        second = convert(encode_record(old, {"x": 2}))
         first["extra"].append(99)
         assert second["extra"] == [0, 0]
 
@@ -137,8 +139,9 @@ class TestNestedEvolution:
         receiver = IOContext(X86_64)
         inner = receiver.register_format("inner", [IOField("z", "integer", 4, 0)])
         target = receiver.register_format("t", [IOField("v", "inner", 4, 0)])
-        project = make_projection(wire, target)
-        assert project({"v": 7}) == {"v": {"z": 0}}
+        payload = encode_record(wire, {"v": 7})
+        assert make_converter(wire, target)(payload) == {"v": {"z": 0}}
+        assert reference_decode(wire, payload, target) == {"v": {"z": 0}}
 
 
 class TestCompatibilityPredicate:

@@ -218,3 +218,47 @@ class TestNestedEnumeration:
         names = [fmt.name for fmt in c.nested_formats()]
         assert names.index("a") < names.index("b")
         assert set(names) == {"a", "b"}
+
+
+class TestNameGrammar:
+    """Names end up inside generated source: ``[A-Za-z_][A-Za-z0-9_]*`` only,
+    enforced where a format is built — before anything is compiled."""
+
+    @pytest.fixture(autouse=True)
+    def no_compile(self, monkeypatch):
+        def compiled(*args, **kwargs):
+            raise AssertionError("a rejected name must never reach compile")
+
+        monkeypatch.setattr("repro.pbio.codegen._compile", compiled)
+
+    @pytest.mark.parametrize(
+        "name", ["x; import os", 'x"y', "x'y", "1st", "a.b", "a b", "é", "x\n", ""]
+    )
+    def test_field_name_rejected(self, name):
+        with pytest.raises(FormatRegistrationError):
+            IOFormat("t", [IOField(name, "integer", 4, 0)], X86_64)
+
+    @pytest.mark.parametrize(
+        "name", ['x" + str(__import__("os").getpid()) + "', "x; import os", "a-b", ""]
+    )
+    def test_format_name_rejected(self, name):
+        with pytest.raises(FormatRegistrationError):
+            IOContext(X86_64).register_format(name, [IOField("v", "integer", 4, 0)])
+
+    def test_length_field_name_rejected(self):
+        with pytest.raises(FormatRegistrationError):
+            IOFormat(
+                "t",
+                [IOField("n", "integer", 4, 0), IOField("d", "double[n; x]", 8, 8)],
+                X86_64,
+            )
+
+    @pytest.mark.parametrize("forged", [b'x"+yy+"z', b"x;import"])
+    def test_forged_metadata_block_rejected(self, forged):
+        honest = IOFormat("abcdefgh", [IOField("ijklmnop", "integer", 4, 0)], X86_64)
+        for victim in (b"abcdefgh", b"ijklmnop"):
+            metadata = honest.to_wire_metadata().replace(victim, forged)
+            with pytest.raises(FormatRegistrationError, match="not a valid name"):
+                IOFormat.from_wire_metadata(metadata)
+            with pytest.raises(FormatRegistrationError):
+                IOContext(X86_64).learn_format(metadata)

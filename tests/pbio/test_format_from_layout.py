@@ -5,8 +5,10 @@ import pytest
 from repro.arch import SPARC_32, X86_64, FieldDecl, layout_struct
 from repro.errors import DecodeError, FormatRegistrationError
 from repro.pbio import IOContext, format_from_layout
-from repro.pbio.decode import ConverterCache, decode_payload
+from repro.pbio.codegen import make_converter
+from repro.pbio.decode import ConverterCache
 from repro.pbio.encode import encode_record
+from repro.pbio.reference import reference_decode
 
 
 class TestFormatFromLayout:
@@ -60,7 +62,7 @@ class TestFormatFromLayout:
             "n": 2, "speeds": [450.0, 455.5],
         }
         payload = encode_record(fmt, record)
-        assert decode_payload(fmt, payload) == record
+        assert make_converter(fmt)(payload) == reference_decode(fmt, payload) == record
 
     def test_missing_type_rejected(self):
         layout = layout_struct(SPARC_32, "t", [FieldDecl("x", "int")])
@@ -84,7 +86,8 @@ class TestFormatFromLayout:
             "seg", outer_layout, {"a": "pt", "b": "pt"}, catalog={"pt": inner}
         )
         record = {"a": {"x": 1.0}, "b": {"x": 2.0}}
-        assert decode_payload(outer, encode_record(outer, record)) == record
+        payload = encode_record(outer, record)
+        assert make_converter(outer)(payload) == reference_decode(outer, payload) == record
 
 
 class TestDecodePayloadAPI:
@@ -93,7 +96,7 @@ class TestDecodePayloadAPI:
 
         fmt = x86_context.register_format("t", [IOField("v", "double", 8, 0)])
         with pytest.raises(DecodeError, match="shorter than"):
-            decode_payload(fmt, b"\x00\x00")
+            reference_decode(fmt, b"\x00\x00")
 
     def test_shared_cache_reused(self, x86_context):
         from repro.pbio import IOField
@@ -101,8 +104,8 @@ class TestDecodePayloadAPI:
         fmt = x86_context.register_format("t", [IOField("v", "integer", 4, 0)])
         payload = encode_record(fmt, {"v": 7})
         cache = ConverterCache()
-        decode_payload(fmt, payload, cache=cache)
-        decode_payload(fmt, payload, cache=cache)
+        assert cache.lookup(fmt)(payload) == {"v": 7}
+        assert cache.lookup(fmt)(payload) == {"v": 7}
         assert cache.builds == 1
 
     def test_interpreted_mode(self, x86_context):
@@ -110,7 +113,7 @@ class TestDecodePayloadAPI:
 
         fmt = x86_context.register_format("t", [IOField("v", "integer", 4, 0)])
         payload = encode_record(fmt, {"v": 9})
-        assert decode_payload(fmt, payload, mode="interpreted") == {"v": 9}
+        assert reference_decode(fmt, payload) == {"v": 9}
 
 
 class TestXDRStaticStringArrays:

@@ -1,7 +1,7 @@
-"""Instance-based lazy binding: LRU caches, compiled/fused projections.
+"""Instance-based lazy binding: LRU caches, projecting converters.
 
 Covers the PROTOCOL §16 machinery: the shared :class:`BoundedLRU`, the
-bounded :class:`ConverterCache` with the fused decode+project path, the
+bounded :class:`ConverterCache` of per-pair generated converters, the
 bounded :class:`FormatServer` decode cache, the
 :class:`Compatibility` lattice, and the :class:`FormatLineage`
 registry.
@@ -16,24 +16,19 @@ from repro.arch import SPARC_32, X86_64
 from repro.errors import ConversionError, DecodeError, ReproError
 from repro.obs import get_registry
 from repro.pbio import FormatLineage, FormatServer, IOContext, IOField
-from repro.pbio.codegen import (
-    generate_fused_converter_source,
-    make_fused_converter,
-    make_generated_converter,
-)
+from repro.pbio.codegen import generate_converter_source, make_converter
 from repro.pbio.context import HEADER, HEADER_SIZE
 from repro.pbio.decode import ConverterCache
+from repro.pbio.encode import get_encode_plan
 from repro.pbio.evolution import (
     Compatibility,
     compare_formats,
     describe_projection,
     formats_compatible,
-    generate_projection_source,
-    make_interpreted_projection,
-    make_projection,
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.lru import BoundedLRU
+from repro.pbio.reference import make_interpreted_projection, reference_decode
 
 
 def v1_fields(arch):
@@ -124,17 +119,18 @@ class TestCompiledProjection:
     def test_compiled_matches_interpreted(self):
         wire, target = self.wire_and_target()
         record = {"flight": "DL1", "alt": 31000, "speed": 450.0}
-        compiled = make_projection(wire, target, use_codegen=True)
-        interpreted = make_interpreted_projection(wire, target)
-        assert compiled(record) == interpreted(record) == {
+        payload = get_encode_plan(wire).encode(record)
+        compiled = make_converter(wire, target)
+        assert compiled(payload) == reference_decode(wire, payload, target) == {
             "flight": "DL1", "alt": 31000,
         }
 
     def test_source_is_inspectable(self):
         wire, target = self.wire_and_target()
-        source = generate_projection_source(wire, target)
-        assert source.startswith("def project(record):")
-        assert "record['flight']" in source
+        source = generate_converter_source(wire, target)
+        assert source.startswith("def convert(payload")
+        assert "'flight': _str(payload, v[0])" in source
+        assert "speed" not in source
 
     def test_defaults_never_alias(self):
         sender = IOContext(SPARC_32)
@@ -146,19 +142,14 @@ class TestCompiledProjection:
             "t",
             [IOField("a", "integer", 4, 0), IOField("xs", "integer[3]", 4, 4)],
         )
-        for use_codegen in (True, False):
-            project = make_projection(wire, target, use_codegen=use_codegen)
-            first = project({"a": 1})
-            second = project({"a": 2})
+        payloads = [get_encode_plan(wire).encode({"a": a}) for a in (1, 2)]
+        for decode in (
+            make_converter(wire, target),
+            lambda payload: reference_decode(wire, payload, target),
+        ):
+            first, second = decode(payloads[0]), decode(payloads[1])
             first["xs"].append(99)
             assert second["xs"] == [0, 0, 0]
-
-    def test_tri_state_false_is_interpreted(self):
-        wire, target = self.wire_and_target()
-        project = make_projection(wire, target, use_codegen=False)
-        # The interpreted closure carries cell variables; the compiled
-        # function does not.
-        assert project.__closure__ is not None
 
 
 class TestFusedConverter:
@@ -174,9 +165,9 @@ class TestFusedConverter:
         record = {"flight": "DL1", "alt": 31000, "speed": 450.0}
         message = sender.encode(wire, record)
         payload = message[HEADER_SIZE:]
-        fused = make_fused_converter(wire, target)
-        two_step = make_projection(wire, target)
-        base = make_generated_converter(wire)
+        fused = make_converter(wire, target)
+        two_step = make_interpreted_projection(wire, target)
+        base = make_converter(wire)
         assert fused(payload) == two_step(base(payload)) == {
             "flight": "DL1", "alt": 31000,
         }
@@ -193,7 +184,7 @@ class TestFusedConverter:
         )
         receiver = IOContext(X86_64)
         target = receiver.register_format("t", [IOField("keep", "integer", 4, 0)])
-        source = generate_fused_converter_source(wire, target)
+        source = generate_converter_source(wire, target)
         # The dropped array's unpack prologue must not be emitted.
         assert "a0" not in source
 
@@ -202,21 +193,8 @@ class TestFusedConverter:
         message = sender.encode(wire, {"flight": "X", "alt": 7, "speed": 1.25})
         receiver.learn_format(wire.to_wire_metadata())
         fused = receiver.decode(message, expect="track").values
-        interpreted = receiver.decode(
-            message, expect="track", mode="interpreted"
-        ).values
+        interpreted = reference_decode(wire, message[HEADER_SIZE:], target)
         assert fused == interpreted == {"flight": "X", "alt": 7}
-
-    def test_use_fused_false_still_correct(self):
-        sender = IOContext(SPARC_32)
-        wire = sender.register_format("track", v2_fields(SPARC_32))
-        receiver = IOContext(X86_64, use_fused=False)
-        receiver.register_format("track", v1_fields(X86_64))
-        receiver.learn_format(wire.to_wire_metadata())
-        message = sender.encode(wire, {"flight": "Y", "alt": 5, "speed": 2.0})
-        assert receiver.decode(message, expect="track").values == {
-            "flight": "Y", "alt": 5,
-        }
 
 
 class TestConverterCacheBounds:
@@ -227,7 +205,7 @@ class TestConverterCacheBounds:
             fmt = IOFormat(
                 f"f{i}", [IOField("v", "integer", 4, 0)], SPARC_32, catalog={}
             )
-            cache.lookup(fmt, None, "interpreted")
+            cache.lookup(fmt)
         assert len(cache) == 4
         assert cache.stats()["evictions"] == 6
         assert context.converter_builds == 10
@@ -249,7 +227,7 @@ class TestConverterCacheBounds:
         cache = ConverterCache()
         sender = IOContext(SPARC_32)
         wire = sender.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire, None, "generated")
+        cache.lookup(wire)
         assert len(cache) == 1
         cache.invalidate(wire.format_id)
         assert len(cache) == 0
@@ -259,17 +237,28 @@ class TestConverterCacheBounds:
         cache = ConverterCache()
         first = IOContext(SPARC_32, converter_cache=cache)
         wire = first.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire, None, "generated")
+        cache.lookup(wire)
         again = IOContext(SPARC_32, converter_cache=cache)
         wire_again = again.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire_again, None, "generated")
+        cache.lookup(wire_again)
         assert cache.builds == 1
 
     def test_unknown_mode_rejected(self):
+        """The cache builds one kind of converter; there is no mode to pick."""
         cache = ConverterCache()
         fmt = IOFormat("f", [IOField("v", "integer", 4, 0)], SPARC_32, catalog={})
-        with pytest.raises(DecodeError):
+        with pytest.raises(TypeError):
             cache.lookup(fmt, None, "vectorized")
+
+    def test_same_wire_two_targets_are_two_entries(self):
+        """The key is the observed pair, nothing else."""
+        cache = ConverterCache()
+        wire = IOContext(SPARC_32).register_format("track", v2_fields(SPARC_32))
+        target = IOContext(X86_64).register_format("track", v1_fields(X86_64))
+        for _ in range(2):
+            cache.lookup(wire)
+            cache.lookup(wire, target)
+        assert cache.builds == 2 and cache.hits == 2
 
     def test_churn_10k_distinct_formats_holds_cap(self):
         """10k distinct wire formats cannot grow the cache past its cap.
@@ -295,7 +284,7 @@ class TestConverterCacheBounds:
             )
             receiver._wire_formats[fmt.format_id] = fmt
             base_message[8:16] = fmt.format_id
-            decoded = receiver.decode(bytes(base_message), mode="interpreted")
+            decoded = receiver.decode(bytes(base_message))
             assert decoded.values == {"v": 42}
         stats = receiver.converter_cache_stats()
         assert stats["size"] <= capacity

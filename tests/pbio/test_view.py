@@ -142,3 +142,50 @@ class TestViewMessage:
         fmt = register_asdoff(sparc_context)
         with pytest.raises(DecodeError, match="too short"):
             RecordView(fmt, b"\x00" * 4)
+
+
+class TestHostilePayloads:
+    """Forged counts and pointers surface as DecodeError from every view
+    read — never struct.error, ValueError or IndexError."""
+
+    @staticmethod
+    def forged(sparc_context, x86_context, field, value):
+        fmt = register_asdoff(sparc_context)
+        message = bytearray(sparc_context.encode(fmt, ASDOFF_RECORD))
+        offset = 16 + fmt.field(field).offset
+        message[offset:offset + 4] = value.to_bytes(4, "big")
+        x86_context.learn_format(fmt.to_wire_metadata())
+        return bytes(message)
+
+    def test_forged_count_is_a_decode_error(self, sparc_context, x86_context):
+        message = self.forged(sparc_context, x86_context, "eta_count", 0x7FFFFFFF)
+        with pytest.raises(DecodeError, match="corrupt payload"):
+            x86_context.decode(message)
+        view = x86_context.decode_view(message)
+        assert view["fltNum"] == 1204  # untouched fields still read
+        with pytest.raises(DecodeError, match="eta"):
+            view["eta"]
+        with pytest.raises(DecodeError, match="past the payload"):
+            view.array("eta")
+        with pytest.raises(DecodeError):
+            view.materialize()
+
+    def test_negative_count_is_a_decode_error(self, sparc_context, x86_context):
+        message = self.forged(sparc_context, x86_context, "eta_count", 0xFFFFFFFF)
+        view = x86_context.decode_view(message)
+        with pytest.raises(DecodeError):
+            view["eta"]
+        with pytest.raises(DecodeError):
+            view.array("eta")
+
+    @pytest.mark.parametrize("field", ["eta", "arln"])
+    def test_forged_pointer_is_a_decode_error(self, sparc_context, x86_context, field):
+        message = self.forged(sparc_context, x86_context, field, 0x7FFFFFF0)
+        with pytest.raises(DecodeError):
+            x86_context.decode(message)
+        view = x86_context.decode_view(message)
+        with pytest.raises(DecodeError, match=field):
+            view[field]
+        if field == "eta":
+            with pytest.raises(DecodeError, match="past the payload"):
+                view.array(field)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import IOContext, XML2Wire
 from repro.arch import ALPHA, SPARC_32, SPARC_64, X86_32, X86_64
-from repro.pbio.columnar import _numpy_or_none
+from repro.pbio import types as pbio_types
 
 from tests.property.strategies import schema_and_records
 
@@ -29,7 +29,7 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-HAVE_NUMPY = _numpy_or_none() is not None
+HAVE_NUMPY = pbio_types.numpy is not None
 
 
 def register(schema, format_name, arch):
@@ -74,13 +74,14 @@ class TestColumnarRoundtrip:
 
     @RELAXED
     @given(case=schema_and_records(), arch=st.sampled_from(ARCHES))
-    def test_pure_python_roundtrip(self, case, arch):
+    def test_pure_python_roundtrip(self, case, arch, pure_python):
         schema, format_name, records = case
         sender, fmt = register(schema, format_name, arch)
-        message = sender.encode_batch(fmt, records, use_numpy=False)
         receiver = IOContext()
         receiver.learn_format(fmt.to_wire_metadata())
-        assert list(receiver.decode_batch(message, use_numpy=False)) == records
+        with pure_python():
+            message = sender.encode_batch(fmt, records)
+            assert list(receiver.decode_batch(message)) == records
 
 
 class TestNumpyPureParity:
@@ -88,18 +89,19 @@ class TestNumpyPureParity:
 
     @RELAXED
     @given(case=schema_and_records(), arch=st.sampled_from(ARCHES))
-    def test_encode_paths_byte_identical(self, case, arch):
+    def test_encode_paths_byte_identical(self, case, arch, pure_python):
         if not HAVE_NUMPY:
             return  # single-path build: parity is vacuous
         schema, format_name, records = case
         sender, fmt = register(schema, format_name, arch)
-        pure = sender.encode_batch(fmt, records, use_numpy=False)
-        vectorized = sender.encode_batch(fmt, records, use_numpy=True)
+        with pure_python():
+            pure = sender.encode_batch(fmt, records)
+        vectorized = sender.encode_batch(fmt, records)
         assert pure == vectorized
 
     @RELAXED
     @given(case=schema_and_records(), pair=arch_pairs)
-    def test_decode_paths_agree(self, case, pair):
+    def test_decode_paths_agree(self, case, pair, pure_python):
         if not HAVE_NUMPY:
             return
         schema, format_name, records = case
@@ -108,6 +110,7 @@ class TestNumpyPureParity:
         message = sender.encode_batch(fmt, records)
         receiver = IOContext(receiver_arch)
         receiver.learn_format(fmt.to_wire_metadata())
-        pure = list(receiver.decode_batch(message, use_numpy=False))
-        vectorized = list(receiver.decode_batch(message, use_numpy=True))
+        with pure_python():
+            pure = list(receiver.decode_batch(message))
+        vectorized = list(receiver.decode_batch(message))
         assert pure == vectorized == records

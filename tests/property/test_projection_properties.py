@@ -1,13 +1,14 @@
-"""Property-based parity for compiled projections and fused converters.
+"""Property-based parity of the generated converter against the reference.
 
 For any (wire schema, evolved target schema) pair the metadata grammar
 can express, any record fitting the wire schema, and any (sender,
 receiver) architecture pair:
 
-- the compiled (codegen) projection and the interpreted projection
-  produce identical records;
-- the fused decode+project converter and the interpreted
-  decode-then-project composition produce identical records;
+- ``IOContext.decode(expect=...)`` — the one generated converter for the
+  pair — equals :func:`reference_decode`, the interpreted specification;
+- the generated converter equals the explicit composition of the
+  interpreted converter and the interpreted projection, and equals the
+  reference projection applied to its own wire-shaped output;
 - defaulted mutable values are fresh objects on every call (no
   aliasing between decodes);
 - when :func:`compare_formats` says no projection is needed, projecting
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from repro import IOContext, XML2Wire
 from repro.arch import ALPHA, SPARC_32, SPARC_64, X86_32, X86_64
-from repro.pbio.evolution import (
-    Compatibility,
-    compare_formats,
-    generate_projection_source,
+from repro.pbio.codegen import generate_converter_source, make_converter
+from repro.pbio.context import HEADER_SIZE
+from repro.pbio.evolution import Compatibility, compare_formats
+from repro.pbio.reference import (
+    make_interpreted_converter,
     make_interpreted_projection,
-    make_projection,
+    reference_decode,
 )
 
 from tests.property.strategies import evolution_case
@@ -42,8 +44,8 @@ RELAXED = settings(
 )
 
 
-def register(schema, format_name, arch, **context_kwargs):
-    tool = XML2Wire(IOContext(arch, **context_kwargs))
+def register(schema, format_name, arch):
+    tool = XML2Wire(IOContext(arch))
     tool.register_schema(schema)
     return tool.context, tool.context.lookup_format(format_name)
 
@@ -52,44 +54,42 @@ class TestProjectionParity:
     @RELAXED
     @given(case=evolution_case(), pair=arch_pairs)
     def test_compiled_equals_interpreted(self, case, pair):
+        """The shipped path, end to end, against the specification."""
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
-        _, target = register(target_schema, name, pair[1])
-        decoded = IOContext(pair[1], use_fused=False)
-        decoded.learn_format(wire.to_wire_metadata())
-        wire_shaped = decoded.decode(sender.encode(wire, record)).values
-        compiled = make_projection(wire, target, use_codegen=True)
-        interpreted = make_interpreted_projection(wire, target)
-        assert compiled(wire_shaped) == interpreted(wire_shaped)
+        receiver, target = register(target_schema, name, pair[1])
+        receiver.learn_format(wire.to_wire_metadata())
+        message = sender.encode(wire, record)
+        compiled = receiver.decode(message, expect=name).values
+        assert compiled == reference_decode(wire, message[HEADER_SIZE:], target)
 
     @RELAXED
     @given(case=evolution_case(), pair=arch_pairs)
     def test_fused_equals_interpreted_composition(self, case, pair):
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
-        # use_fused=True forces fusion: a fallback would mask a fused-
-        # path generation failure.
-        receiver, _ = register(target_schema, name, pair[1], use_fused=True)
-        receiver.learn_format(wire.to_wire_metadata())
-        message = sender.encode(wire, record)
-        fused = receiver.decode(message, expect=name).values
-        interpreted = receiver.decode(message, expect=name, mode="interpreted").values
-        assert fused == interpreted
+        _, target = register(target_schema, name, pair[1])
+        # A view, as the zero-copy receive path hands it over.
+        payload = memoryview(sender.encode(wire, record))[HEADER_SIZE:]
+        interpreted = make_interpreted_projection(wire, target)(
+            make_interpreted_converter(wire)(payload)
+        )
+        assert make_converter(wire, target)(payload) == interpreted
 
     @RELAXED
     @given(case=evolution_case(), pair=arch_pairs)
     def test_fused_equals_two_step(self, case, pair):
+        """Projecting inside the routine equals projecting its wire-shaped
+        output afterwards."""
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
-        fused_rx, _ = register(target_schema, name, pair[1], use_fused=True)
-        two_step_rx, _ = register(target_schema, name, pair[1], use_fused=False)
-        message = sender.encode(wire, record)
-        for receiver in (fused_rx, two_step_rx):
-            receiver.learn_format(wire.to_wire_metadata())
-        assert (
-            fused_rx.decode(message, expect=name).values
-            == two_step_rx.decode(message, expect=name).values
-        )
+        _, target = register(target_schema, name, pair[1])
+        payload = sender.encode(wire, record)[HEADER_SIZE:]
+        wire_shaped = make_converter(wire)(payload)
+        assert wire_shaped == record
+        assert make_converter(wire, target)(payload) == make_interpreted_projection(
+            wire, target
+        )(wire_shaped)
 
     @RELAXED
     @given(case=evolution_case(), pair=arch_pairs)
@@ -115,8 +115,8 @@ class TestProjectionParity:
         wire_schema, target_schema, name, record = case
         _, wire = register(wire_schema, name, arch)
         _, target = register(target_schema, name, arch)
-        source = generate_projection_source(wire, target)
-        compile(source, "<projection>", "exec")
+        compile(generate_converter_source(wire, target), "<converter>", "exec")
+        assert generate_converter_source(wire) == generate_converter_source(wire, wire)
 
 
 class TestCompatibilityConsistency:

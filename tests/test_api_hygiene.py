@@ -117,3 +117,39 @@ class TestErrorHierarchy:
                 ):
                     offenders.append(f"{path}:{lineno}")
         assert not offenders, offenders
+
+
+class TestNoCodecSwitches:
+    """The codec has one implementation per job: nothing selects another."""
+
+    SWITCHES = {"use_numpy", "use_fused", "use_codegen", "mode"}
+    PACKAGES = ("repro.pbio", "repro.transport", "repro.events", "repro.aio")
+
+    @staticmethod
+    def _callables(module):
+        for name, member in public_members(module):
+            if inspect.isfunction(member):
+                yield name, member
+            elif inspect.isclass(member):
+                for method_name, method in vars(member).items():
+                    if isinstance(method, (staticmethod, classmethod)):
+                        method = method.__func__
+                    if inspect.isfunction(method) and (
+                        not method_name.startswith("_") or method_name == "__init__"
+                    ):
+                        yield f"{name}.{method_name}", method
+
+    def test_no_public_callable_takes_a_codec_switch(self):
+        offenders = [
+            f"{module.__name__}.{name}({parameter})"
+            for module in MODULES
+            if module.__name__.startswith(self.PACKAGES)
+            for name, function in self._callables(module)
+            for parameter in inspect.signature(function).parameters
+            if parameter in self.SWITCHES
+        ]
+        assert not offenders, offenders
+
+    def test_bulk_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.pbio.bulk")
