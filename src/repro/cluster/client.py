@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from repro.cluster.ring import ClusterMap, Shard
 from repro.cluster.store import CatalogEntry
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, SchemaError, XMLError
 from repro.metaserver.client import FetchResult, MetadataClient
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -201,7 +201,7 @@ class ClusterClient:
         body = self.get_bytes(path)
         try:
             return parse_schema(body.decode("utf-8"))
-        except Exception as exc:
+        except (UnicodeDecodeError, XMLError, SchemaError) as exc:
             raise DiscoveryError(
                 f"document at {path} is not a valid schema: {exc}"
             ) from exc

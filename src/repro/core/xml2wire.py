@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from repro.arch.layout import FieldDecl, StructLayout, layout_struct
+from repro.arch.layout import FieldDecl, layout_struct
 from repro.core.catalog import Catalog, CatalogEntry
 from repro.core.mapping import map_primitive
 from repro.errors import SchemaError
@@ -92,8 +92,20 @@ class XML2Wire:
     ) -> IOFormat:
         if complex_type.name in self.catalog:
             return self.catalog.get(complex_type.name).io_format
-        layout = self._build_layout(complex_type, schema)
-        io_fields = self._build_io_fields(complex_type, schema, layout)
+        members = self._members(complex_type, schema)
+        layout = layout_struct(
+            self.context.arch, complex_type.name, [decl for decl, _, _ in members]
+        )
+        # Slots come back in declaration order, one per member.
+        io_fields = [
+            IOField(
+                slot.name,
+                pbio_type,
+                slot.element_size if size is None else size,
+                slot.offset,
+            )
+            for (_, pbio_type, size), slot in zip(members, layout.slots)
+        ]
         io_format = IOFormat(
             complex_type.name,
             io_fields,
@@ -112,108 +124,68 @@ class XML2Wire:
         )
         return io_format
 
-    def _build_layout(
+    def _members(
         self, complex_type: ComplexType, schema: SchemaDocument
-    ) -> StructLayout:
-        """Compute the native structure layout for the target machine."""
-        decls: list[FieldDecl] = []
-        declared = set(complex_type.element_names())
-        for element in complex_type.elements:
-            decls.extend(self._field_decls(complex_type, element, schema, declared))
-        return layout_struct(self.context.arch, complex_type.name, decls)
+    ) -> list[tuple[FieldDecl, str, int | None]]:
+        """Every native structure member the elements give rise to.
 
-    def _field_decls(
-        self,
-        complex_type: ComplexType,
-        element: ElementDecl,
-        schema: SchemaDocument,
-        declared: set[str],
-    ) -> list[FieldDecl]:
-        occurs = element.occurs
-        if is_xsd_namespace(element.type_namespace) or element.type_name in schema.simple_types:
+        One ``(C declaration, PBIO type string, field size)`` per member,
+        in order; the size is ``None`` where it is the laid-out member's
+        own element size (Field Size), and given where the member is a
+        pointer to elements of that size or a nested structure.
+        """
+        arch = self.context.arch
+        declared = set(complex_type.element_names())
+        members: list[tuple[FieldDecl, str, int | None]] = []
+        for element in complex_type.elements:
+            name, occurs = element.name, element.occurs
+            if not (
+                is_xsd_namespace(element.type_namespace)
+                or element.type_name in schema.simple_types
+            ):
+                # Composition by nesting: a previously defined complex type.
+                if occurs.is_dynamic_array:
+                    raise SchemaError(
+                        f"complex type {complex_type.name!r}: dynamic arrays of "
+                        f"nested types are not supported by the BCM (element {name!r})"
+                    )
+                nested = self.catalog.get(element.type_name)
+                pbio_type = element.type_name
+                if occurs.is_fixed_array:
+                    pbio_type += f"[{occurs.count}]"
+                decl = FieldDecl(name, nested.layout, occurs.count)
+                members.append((decl, pbio_type, nested.structure_size))
+                continue
             mapping = self._mapping_for(element, schema)
             if occurs.is_dynamic_array:
                 if mapping.is_string:
                     raise SchemaError(
                         f"complex type {complex_type.name!r}: dynamic arrays of "
-                        f"strings are not supported by the BCM "
-                        f"(element {element.name!r})"
+                        f"strings are not supported by the BCM (element {name!r})"
                     )
-                decls = [FieldDecl(element.name, mapping.c_type + "*")]
-                if occurs.synthesized_length and occurs.length_field not in declared:
-                    decls.append(FieldDecl(occurs.length_field, "int"))
-                    declared.add(occurs.length_field)
-                return decls
-            if occurs.is_fixed_array:
-                if mapping.is_string:
-                    return [FieldDecl(element.name, "char*", occurs.count)]
-                return [FieldDecl(element.name, mapping.c_type, occurs.count)]
-            return [FieldDecl(element.name, mapping.c_type)]
-        # Composition by nesting: a previously defined complex type.
-        nested = self.catalog.get(element.type_name)
-        if occurs.is_dynamic_array:
-            raise SchemaError(
-                f"complex type {complex_type.name!r}: dynamic arrays of nested "
-                f"types are not supported by the BCM (element {element.name!r})"
-            )
-        return [FieldDecl(element.name, nested.layout, occurs.count)]
-
-    def _build_io_fields(
-        self,
-        complex_type: ComplexType,
-        schema: SchemaDocument,
-        layout: StructLayout,
-    ) -> list[IOField]:
-        fields: list[IOField] = []
-        handled: set[str] = set()
-        for element in complex_type.elements:
-            occurs = element.occurs
-            is_primitive = is_xsd_namespace(element.type_namespace) or (
-                element.type_name in schema.simple_types
-            )
-            if is_primitive:
-                mapping = self._mapping_for(element, schema)
-                if occurs.is_dynamic_array:
-                    element_size = self.context.arch.sizeof(mapping.c_type)
-                    fields.append(
-                        IOField(
-                            element.name,
-                            f"{mapping.pbio_type}[{occurs.length_field}]",
-                            element_size,
-                            layout.offsetof(element.name),
-                        )
+                length_field = occurs.length_field
+                members.append(
+                    (
+                        FieldDecl(name, mapping.c_type + "*"),
+                        f"{mapping.pbio_type}[{length_field}]",
+                        arch.sizeof(mapping.c_type),
                     )
-                    if occurs.synthesized_length and occurs.length_field not in handled:
-                        fields.append(
-                            IOField(
-                                occurs.length_field,
-                                "integer",
-                                self.context.arch.sizeof("int"),
-                                layout.offsetof(occurs.length_field),
-                            )
-                        )
-                        handled.add(occurs.length_field)
-                    continue
-                slot = layout.slot(element.name)
-                if occurs.is_fixed_array:
-                    type_string = f"{mapping.pbio_type}[{occurs.count}]"
-                else:
-                    type_string = mapping.pbio_type
-                fields.append(
-                    IOField(element.name, type_string, slot.element_size, slot.offset)
                 )
-                continue
-            # Nested user type.
-            nested = self.catalog.get(element.type_name)
-            slot = layout.slot(element.name)
-            if occurs.is_fixed_array:
-                type_string = f"{element.type_name}[{occurs.count}]"
+                if occurs.synthesized_length and length_field not in declared:
+                    members.append((FieldDecl(length_field, "int"), "integer", None))
+                    declared.add(length_field)
+            elif occurs.is_fixed_array:
+                c_type = "char*" if mapping.is_string else mapping.c_type
+                members.append(
+                    (
+                        FieldDecl(name, c_type, occurs.count),
+                        f"{mapping.pbio_type}[{occurs.count}]",
+                        None,
+                    )
+                )
             else:
-                type_string = element.type_name
-            fields.append(
-                IOField(element.name, type_string, nested.structure_size, slot.offset)
-            )
-        return fields
+                members.append((FieldDecl(name, mapping.c_type), mapping.pbio_type, None))
+        return members
 
     def _mapping_for(self, element: ElementDecl, schema: SchemaDocument):
         if is_xsd_namespace(element.type_namespace):

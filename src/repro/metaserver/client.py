@@ -38,6 +38,8 @@ from repro.errors import (
     DiscoveryError,
     MetadataHTTPError,
     RetryExhaustedError,
+    SchemaError,
+    XMLError,
 )
 from repro.obs.metrics import get_registry
 from repro.metaserver.http import (
@@ -497,7 +499,7 @@ class MetadataClient:
         body = self.get_bytes(url)
         try:
             return parse_schema(body.decode("utf-8"))
-        except Exception as exc:
+        except (UnicodeDecodeError, XMLError, SchemaError) as exc:
             raise DiscoveryError(
                 f"document at {url} is not a valid schema: {exc}"
             ) from exc

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from time import perf_counter
 
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Registry, get_registry
 
 #: pbio durations are timed once per this many operations.
 SAMPLE_EVERY = 16
@@ -72,6 +73,28 @@ def pbio_handles(fmt, registry: Registry) -> PbioHandles:
     )
     fmt._obs_pbio = cached
     return cached
+
+
+def timed_codegen(kind: str, build, *args, **kwargs):
+    """Run ``build`` — one routine's generation and compilation — on a miss.
+
+    Counts the build in ``pbio_codegen_total{kind, event="miss"}`` and
+    times it into ``pbio_codegen_seconds{kind}``: registration compiles
+    nothing, so this is where the first use of each encoder and converter
+    shows.  Only the miss paths come here; a cached routine costs nothing.
+    """
+    registry = get_registry()
+    if not registry.enabled:
+        return build(*args, **kwargs)
+    registry.counter(
+        "pbio_codegen_total", "converter/encoder cache events", ("kind", "event")
+    ).labels(kind, "miss").inc()
+    started = perf_counter()
+    built = build(*args, **kwargs)
+    registry.histogram(
+        "pbio_codegen_seconds", "generation + compile time of one routine", ("kind",)
+    ).labels(kind).observe(perf_counter() - started)
+    return built
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.errors import DecodeError, FormatRegistrationError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
 from repro.pbio.decode import DEFAULT_CONVERTER_CAPACITY, ConverterCache
-from repro.pbio.encode import encode_record, get_encode_plan, get_generated_encoder
+from repro.pbio.encode import encode_record, get_generated_encoder
 from repro.pbio.field import IOField
 from repro.pbio.fmserver import FormatServer
 from repro.pbio.format import IOFormat
@@ -200,11 +200,6 @@ class IOContext:
             self._format_server.register(fmt)
         if self.lineage is not None:
             self.lineage.register(fmt)
-        # Registration pays encoder compilation up front (plan + DCG),
-        # keeping the per-message path free of first-use spikes.
-        get_encode_plan(fmt)
-        get_generated_encoder(fmt)
-        get_generated_encoder(fmt, into=True)
 
     def lookup_format(self, name: str) -> IOFormat:
         """Return a locally registered format by name."""

@@ -16,7 +16,7 @@ metadata for free.
 
 from __future__ import annotations
 
-from repro.obs.metrics import get_registry
+from repro.obs.instr import timed_codegen
 from repro.pbio.codegen import Converter, make_converter
 from repro.pbio.format import IOFormat
 from repro.pbio.lru import BoundedLRU
@@ -83,13 +83,7 @@ class ConverterCache:
         converter = self._converters.get(key)
         if converter is not None:
             return converter
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("converter", "miss").inc()
-        converter = make_converter(wire_format, target_format)
+        converter = timed_codegen("converter", make_converter, wire_format, target_format)
         self._converters.put(key, converter)
         self.builds += 1
         return converter

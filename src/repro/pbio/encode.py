@@ -21,7 +21,9 @@ Encoding is driven by a precompiled :class:`EncodePlan`: one
 variable-section items.  Compiling the plan once per format and packing
 the whole base record in a single call is the sender-side analogue of
 PBIO's "move data directly out of memory" — per-field interpretation is
-paid at format registration, not per message.
+paid once per format (by the first call that encodes or decodes it; see
+:func:`get_encode_plan` and :func:`get_generated_encoder`), not per
+message.  Registration builds metadata only.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from time import perf_counter
 from repro.arch.model import TypeKind
 from repro.errors import EncodeError
 from repro.obs import metrics as _metrics
-from repro.obs.instr import SAMPLE_MASK, pbio_handles
-from repro.obs.metrics import get_registry
+from repro.obs.instr import SAMPLE_MASK, pbio_handles, timed_codegen
 from repro.pbio import types as _types
 from repro.pbio.format import IOFormat
 from repro.pbio.types import DTYPE_CHARS
@@ -152,8 +153,8 @@ class EncodePlan:
     layout: the plan-walking encoder below, the generated encoders and
     converters, the reference decoder and :class:`~repro.pbio.RecordView`
     all read it.  Plans are cached on the format instance by
-    :func:`get_encode_plan`; building one walks the format tree once and
-    is part of the registration cost the paper's Table 1 measures.
+    :func:`get_encode_plan`, which the first generator to need one calls;
+    building one walks the format tree once.
     """
 
     def __init__(self, fmt: IOFormat) -> None:
@@ -557,7 +558,9 @@ def get_generated_encoder(fmt: IOFormat, *, into: bool = False):
 
     The encoder is the sender-side analogue of the generated converter:
     specialized Python source compiled at first use (see
-    :mod:`repro.pbio.codegen`).  It produces byte-identical output to
+    :mod:`repro.pbio.codegen`) — registration does not call this, the
+    first ``encode`` / ``encode_into`` does, and calling it yourself
+    after registration is how to pre-warm.  It produces byte-identical output to
     :meth:`EncodePlan.encode` — or, with ``into=True``, to
     :meth:`EncodePlan.encode_into`, capacity :class:`EncodeError`
     carrying ``.needed`` included — and raises the same errors (by
@@ -568,13 +571,9 @@ def get_generated_encoder(fmt: IOFormat, *, into: bool = False):
     if encoder is None:
         from repro.pbio.codegen import make_generated_encoder
 
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("encode_into" if into else "encoder", "miss").inc()
-        encoder = make_generated_encoder(fmt, into=into)
+        encoder = timed_codegen(
+            "encode_into" if into else "encoder", make_generated_encoder, fmt, into=into
+        )
         setattr(fmt, attribute, encoder)
     return encoder
 

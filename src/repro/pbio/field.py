@@ -18,7 +18,7 @@ registration interface is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import FormatRegistrationError
 from repro.pbio.types import ParsedFieldType, parse_field_type
@@ -43,12 +43,16 @@ class IOField:
     offset:
         Byte offset of the field within the native structure
         (``offsetof``).
+
+    ``parsed_type`` is the decomposed ``type`` string, parsed (and so
+    validated) once, at construction.
     """
 
     name: str
     type: str
     size: int
     offset: int
+    parsed_type: ParsedFieldType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -61,8 +65,4 @@ class IOField:
             raise FormatRegistrationError(
                 f"field {self.name!r}: offset must be non-negative, got {self.offset}"
             )
-        parse_field_type(self.type)  # validates the grammar eagerly
-
-    @property
-    def parsed_type(self) -> ParsedFieldType:
-        return parse_field_type(self.type)
+        object.__setattr__(self, "parsed_type", parse_field_type(self.type))

@@ -294,8 +294,9 @@ class IOFormat:
         is needed; the format server and the in-band handshake both key
         on this value.
         """
-        return hashlib.sha1(self._own_block()).digest()[:8]
+        return hashlib.sha1(self._own_block).digest()[:8]
 
+    @cached_property
     def _own_block(self) -> bytes:
         out = bytearray()
         _put_str(out, self.name)
@@ -310,8 +311,8 @@ class IOFormat:
 
     def to_wire_metadata(self) -> bytes:
         """Serialize this format and its nested dependencies."""
-        blocks = [fmt._own_block() for fmt in self.nested_formats()]
-        blocks.append(self._own_block())
+        blocks = [fmt._own_block for fmt in self.nested_formats()]
+        blocks.append(self._own_block)
         return _MAGIC + struct.pack(">H", len(blocks)) + b"".join(blocks)
 
     @classmethod

@@ -133,13 +133,13 @@ def parse_field_type(type_string: str) -> ParsedFieldType:
     strings (empty dimensions, nested brackets, ...).
     """
     text = type_string.strip()
-    match = _ARRAY_RE.match(text)
-    if match is None:
-        if "[" in text or "]" in text:
-            raise FormatRegistrationError(f"malformed field type {type_string!r}")
+    if "[" not in text and "]" not in text:
         if not text:
             raise FormatRegistrationError("empty field type")
         return ParsedFieldType(base=text)
+    match = _ARRAY_RE.match(text)
+    if match is None:
+        raise FormatRegistrationError(f"malformed field type {type_string!r}")
     base = match.group("base").strip()
     dim = match.group("dim").strip()
     if not base or not dim:

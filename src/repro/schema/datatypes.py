@@ -60,9 +60,12 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$|^[+-]?INF$|^N
 
 
 def _parse_int(text: str) -> int:
-    if not _INT_RE.match(text.strip()):
-        raise SchemaError(f"{text!r} is not a valid integer literal")
-    return int(text)
+    try:
+        if _INT_RE.match(text.strip()):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise SchemaError(f"{text!r} is not a valid integer literal")
 
 
 def _parse_float(text: str) -> float:

@@ -40,7 +40,7 @@ class Occurs:
 
     @classmethod
     def scalar(cls) -> "Occurs":
-        return cls()
+        return _SCALAR  # immutable, so one instance serves every scalar
 
     @classmethod
     def fixed(cls, count: int, min_occurs: int | None = None) -> "Occurs":
@@ -71,6 +71,9 @@ class Occurs:
     @property
     def is_dynamic_array(self) -> bool:
         return self.length_field is not None
+
+
+_SCALAR = Occurs()
 
 
 @dataclass(frozen=True)

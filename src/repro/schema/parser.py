@@ -138,12 +138,17 @@ def _build_element(node: Element, owner: str) -> ElementDecl:
     name = _require_name(node)
     type_attr = node.require("type")
     type_namespace, type_name = node.resolve_value_qname(type_attr)
-    min_occurs = _parse_min_occurs(node, owner, name)
+    min_occurs = node.get("minOccurs")
+    min_occurs = (
+        1 if min_occurs is None else _parse_occurs(min_occurs, "minOccurs", owner, name)
+    )
     max_occurs = node.get("maxOccurs")
     if max_occurs is None or max_occurs == "1":
         occurs = Occurs.scalar() if min_occurs == 1 else Occurs(min_occurs=min_occurs)
     elif max_occurs.isdigit():
-        occurs = Occurs.fixed(int(max_occurs), min_occurs=min_occurs)
+        occurs = Occurs.fixed(
+            _parse_occurs(max_occurs, "maxOccurs", owner, name), min_occurs=min_occurs
+        )
     elif max_occurs in ("*", "unbounded"):
         occurs = Occurs.dynamic(f"{name}_count", synthesized=True, min_occurs=min_occurs)
     else:
@@ -158,16 +163,16 @@ def _build_element(node: Element, owner: str) -> ElementDecl:
     )
 
 
-def _parse_min_occurs(node: Element, owner: str, name: str) -> int:
-    raw = node.get("minOccurs")
-    if raw is None:
-        return 1
-    if not raw.isdigit():
-        raise SchemaError(
-            f"complex type {owner!r}, element {name!r}: minOccurs must be "
-            f"a non-negative integer, got {raw!r}"
-        )
-    return int(raw)
+def _parse_occurs(raw: str, attribute: str, owner: str, name: str) -> int:
+    try:
+        if raw.isdigit():
+            return int(raw)
+    except ValueError:  # digits int() does not take, or too many of them
+        pass
+    raise SchemaError(
+        f"complex type {owner!r}, element {name!r}: {attribute} must be "
+        f"a non-negative integer, got {raw!r}"
+    )
 
 
 def _resolve_dynamic_lengths(

@@ -36,13 +36,13 @@ def _xml_safe(text: str, field_name: str) -> str:
     characters that are perfectly legal in binary strings (NDR and XDR
     transmit them untouched) have no XML representation at all.
     """
-    for ch in text:
-        if not _xml_chars.is_xml_char(ch):
-            raise WireError(
-                f"XML: field {field_name!r} contains U+{ord(ch):04X}, which "
-                f"has no XML 1.0 representation (binary wire formats carry "
-                f"it; text XML cannot)"
-            )
+    illegal = _xml_chars.find_illegal_char(text)
+    if illegal is not None:
+        raise WireError(
+            f"XML: field {field_name!r} contains U+{ord(illegal[0]):04X}, which "
+            f"has no XML 1.0 representation (binary wire formats carry "
+            f"it; text XML cannot)"
+        )
     return escape_text(text)
 
 

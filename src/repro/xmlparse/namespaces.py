@@ -41,6 +41,8 @@ class NamespaceScope:
     """
 
     def __init__(self) -> None:
+        # One flattened prefix -> URI mapping per open element; an element
+        # that declares nothing shares its parent's.
         self._stack: list[dict[str | None, str | None]] = [
             {"xml": XML_NAMESPACE, "xmlns": XMLNS_NAMESPACE, None: None}
         ]
@@ -65,7 +67,8 @@ class NamespaceScope:
                         f"prefix {prefix!r} may not be bound to the empty namespace"
                     )
                 frame[prefix] = value
-        self._stack.append(frame)
+        inherited = self._stack[-1]
+        self._stack.append({**inherited, **frame} if frame else inherited)
 
     def pop(self) -> None:
         """Leave an element, dropping its declarations."""
@@ -79,12 +82,10 @@ class NamespaceScope:
         ``resolve(None)`` returns the default namespace, which may
         legitimately be ``None`` (no default declared).
         """
-        for frame in reversed(self._stack):
-            if prefix in frame:
-                return frame[prefix]
-        if prefix is None:
-            return None
-        raise XMLError(f"namespace prefix {prefix!r} is not bound")
+        try:
+            return self._stack[-1][prefix]
+        except KeyError:
+            raise XMLError(f"namespace prefix {prefix!r} is not bound") from None
 
     def resolve_qname(self, qname: str, *, use_default: bool = True) -> tuple[str | None, str]:
         """Resolve ``prefix:local`` to ``(namespace_uri, local)``.
@@ -99,8 +100,9 @@ class NamespaceScope:
         return self.resolve(prefix), local
 
     def bindings(self) -> dict[str | None, str | None]:
-        """A flattened snapshot of every binding currently in scope."""
-        merged: dict[str | None, str | None] = {}
-        for frame in self._stack:
-            merged.update(frame)
-        return merged
+        """Every binding currently in scope, flattened.
+
+        Elements that declare nothing share one mapping: read it, do not
+        modify it.
+        """
+        return self._stack[-1]

@@ -3,19 +3,30 @@
 :class:`PullParser` consumes a complete document string and yields
 :mod:`~repro.xmlparse.events` in document order.  It enforces
 well-formedness (matching tags, single root, unique attribute names, legal
-name characters, legal content characters) and resolves the predefined
-entities and numeric character references.  A DOCTYPE declaration, if
-present, is tolerated and skipped — external and internal DTD subsets are
-explicitly out of scope (the paper itself dismisses DTDs as insufficient
-for typed metadata and moves to XML Schema).
+name characters, legal characters everywhere in the document) and resolves
+the predefined entities and numeric character references.  A DOCTYPE
+declaration, if present, is tolerated and skipped — external and internal
+DTD subsets are explicitly out of scope (the paper itself dismisses DTDs as
+insufficient for typed metadata and moves to XML Schema).
 
 Line endings are normalized (``\\r\\n`` and ``\\r`` become ``\\n``) before
 parsing, as required by the XML specification, so reported line numbers
 and attribute values are identical regardless of the producing platform.
+A single leading byte-order mark is dropped.
+
+The scanner is driven by regular expressions compiled once, at import,
+from the range tables in :mod:`~repro.xmlparse.chars`: a ``Name``, a run
+of whitespace, a whole attribute.  Each pattern is a sequence of
+quantified character classes that cannot match each other's input (no
+nested quantifiers), so scanning is linear in the document.  Where the
+whole-attribute pattern does not match, the tag is re-read one step at a
+time to say exactly what is wrong and where; line and column are derived
+from offsets when an event or error is produced.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from repro.errors import XMLSyntaxError
@@ -39,6 +50,21 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
+_S = "[ \t\n]"  # production [3]; "\r" is gone after line-end normalization
+_NAME = (
+    chars.char_class(chars._NAME_START_RANGES)
+    + chars.char_class(chars._NAME_START_RANGES, chars._NAME_EXTRA_RANGES)
+    + "*"
+)
+_match_space = re.compile(f"{_S}*").match  # never fails
+_match_name = re.compile(_NAME).match
+#: ``S Name Eq AttValue`` with no ``<`` in the value: groups name, "value", 'value'.
+_match_attribute = re.compile(
+    f"{_S}+({_NAME}){_S}*={_S}*(?:\"([^<\"]*)\"|'([^<']*)')"
+).match
+_find_doctype_delimiters = re.compile(r"[\[\]>]").finditer
+_entity_reference = re.compile("&([^;]*)(;?)")
+
 
 class PullParser:
     """Parse one XML document, yielding events via :meth:`events`.
@@ -54,12 +80,13 @@ class PullParser:
     """
 
     def __init__(self, source: str) -> None:
+        if source.startswith("\ufeff"):
+            source = source[1:]
         self._text = source.replace("\r\n", "\n").replace("\r", "\n")
-        self._pos = 0
+        # Line/column of the last located offset (see _locate).
+        self._mark = 0
         self._line = 1
-        self._column = 1
-        self._open_elements: list[str] = []
-        self._seen_root = False
+        self._line_start = 0
         self._exhausted = False
 
     # -- public API -------------------------------------------------------
@@ -70,195 +97,93 @@ class PullParser:
         Raises :class:`~repro.errors.XMLSyntaxError` on the first
         violation.
         """
+        for kind, pos, fields in self._scan():
+            yield kind(*self._locate(pos), *fields)
+
+    def _scan(self) -> Iterator[tuple[type[Event], int, tuple]]:
+        """The scanner proper: ``(event class, offset, other fields)``.
+
+        :meth:`events` turns each item into an event; the tree builder
+        reads the items directly and locates only what it keeps.
+        """
         if self._exhausted:
             raise XMLSyntaxError("PullParser instances are single-use")
         self._exhausted = True
-
-        decl = self._parse_xml_decl()
-        if decl is not None:
+        text = self._text
+        illegal = chars.find_illegal_char(text)
+        if illegal is not None:
+            self._error(f"illegal character U+{ord(illegal[0]):04X}", illegal.start())
+        pos = 0
+        # A PI whose target merely starts with "xml" is not the declaration.
+        if text.startswith("<?xml") and _match_name(text, 2).end() == 5:
+            decl, pos = self._parse_xml_decl()
             yield decl
-        yield from self._parse_misc()
-        self._skip_doctype()
-        yield from self._parse_misc()
-        if self._at_end():
-            self._error("document has no root element")
-        yield from self._parse_element()
-        yield from self._parse_misc()
-        if not self._at_end():
-            self._error("content after document root element")
+        pos = yield from self._parse_misc(pos)
+        pos = yield from self._parse_misc(self._skip_doctype(pos))
+        if pos == len(text):
+            self._error("document has no root element", pos)
+        pos = yield from self._parse_element(pos)
+        pos = yield from self._parse_misc(pos)
+        if pos != len(text):
+            self._error("content after document root element", pos)
 
-    # -- low-level cursor -------------------------------------------------
+    # -- positions and shared steps ------------------------------------------
 
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._text)
+    def _locate(self, pos: int) -> tuple[int, int]:
+        """1-based (line, column) of offset ``pos``.
 
-    def _peek(self, length: int = 1) -> str:
-        return self._text[self._pos : self._pos + length]
-
-    def _advance(self, length: int) -> str:
-        """Consume ``length`` characters, maintaining line/column."""
-        chunk = self._text[self._pos : self._pos + length]
-        newlines = chunk.count("\n")
+        Offsets only ever ascend — items are located in document order,
+        and an error lies at or after the last item scanned — so newlines
+        are counted from the previously located offset: one pass over the
+        text in total.
+        """
+        newlines = self._text.count("\n", self._mark, pos)
         if newlines:
             self._line += newlines
-            self._column = length - chunk.rfind("\n")
-        else:
-            self._column += length
-        self._pos += length
-        return chunk
+            self._line_start = self._text.rfind("\n", self._mark, pos) + 1
+        self._mark = pos
+        return self._line, pos - self._line_start + 1
 
-    def _error(self, message: str) -> None:
-        raise XMLSyntaxError(message, self._line, self._column)
+    def _error(self, message: str, pos: int) -> None:
+        raise XMLSyntaxError(message, *self._locate(pos))
 
-    def _expect(self, literal: str) -> None:
-        if not self._text.startswith(literal, self._pos):
-            self._error(f"expected {literal!r}")
-        self._advance(len(literal))
+    def _name(self, pos: int) -> str:
+        match = _match_name(self._text, pos)
+        if match is None:
+            self._error("expected an XML name", pos)
+        return match[0]
 
-    def _skip_whitespace(self, required: bool = False) -> None:
-        start = self._pos
-        while not self._at_end() and self._text[self._pos] in chars.WHITESPACE:
-            self._advance(1)
-        if required and self._pos == start:
-            self._error("expected whitespace")
-
-    def _scan_until(self, terminator: str, context: str) -> str:
-        """Consume and return text up to (not including) ``terminator``."""
-        index = self._text.find(terminator, self._pos)
-        if index < 0:
-            self._error(f"unterminated {context}: missing {terminator!r}")
-        return self._advance(index - self._pos)
-
-    def _parse_name(self) -> str:
-        if self._at_end() or not chars.is_name_start(self._text[self._pos]):
-            self._error("expected an XML name")
-        start = self._pos
-        end = start + 1
+    def _eq_value(self, pos: int) -> tuple[str, int]:
+        """``Eq AttValue`` at ``pos``, one diagnosed step at a time."""
         text = self._text
-        while end < len(text) and chars.is_name_char(text[end]):
-            end += 1
-        return self._advance(end - start)
-
-    # -- prolog -----------------------------------------------------------
-
-    def _parse_xml_decl(self) -> XMLDeclEvent | None:
-        if not self._text.startswith("<?xml", self._pos):
-            return None
-        # Distinguish the declaration from a PI whose target merely starts
-        # with "xml" (illegal anyway, but give the right error later).
-        after = self._text[self._pos + 5 : self._pos + 6]
-        if after and chars.is_name_char(after):
-            return None
-        line, column = self._line, self._column
-        self._advance(5)
-        params: dict[str, str] = {}
-        while True:
-            self._skip_whitespace()
-            if self._peek(2) == "?>":
-                self._advance(2)
-                break
-            name = self._parse_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            params[name] = self._parse_quoted()
-        version = params.get("version")
-        if version is None:
-            self._error("XML declaration missing version")
-        return XMLDeclEvent(
-            line=line,
-            column=column,
-            version=version,
-            encoding=params.get("encoding"),
-            standalone=params.get("standalone"),
-        )
-
-    def _skip_doctype(self) -> None:
-        if not self._text.startswith("<!DOCTYPE", self._pos):
-            return
-        self._advance(len("<!DOCTYPE"))
-        depth = 0
-        while not self._at_end():
-            ch = self._text[self._pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth == 0:
-                self._advance(1)
-                return
-            self._advance(1)
-        self._error("unterminated DOCTYPE declaration")
-
-    def _parse_misc(self) -> Iterator[Event]:
-        """Comments, PIs and whitespace outside the root element."""
-        while True:
-            self._skip_whitespace()
-            if self._text.startswith("<!--", self._pos):
-                yield self._parse_comment()
-            elif self._text.startswith("<?", self._pos):
-                yield self._parse_pi()
-            else:
-                return
-
-    # -- markup -----------------------------------------------------------
-
-    def _parse_comment(self) -> CommentEvent:
-        line, column = self._line, self._column
-        self._expect("<!--")
-        body = self._scan_until("--", "comment")
-        self._expect("--")
-        if self._peek() != ">":
-            self._error("'--' is not allowed inside comments")
-        self._advance(1)
-        return CommentEvent(line=line, column=column, text=body)
-
-    def _parse_pi(self) -> ProcessingInstructionEvent:
-        line, column = self._line, self._column
-        self._expect("<?")
-        target = self._parse_name()
-        if target.lower() == "xml":
-            self._error("processing instruction target may not be 'xml'")
-        data = ""
-        if self._peek() not in ("?",):
-            self._skip_whitespace(required=True)
-            data = self._scan_until("?>", "processing instruction")
-        self._expect("?>")
-        return ProcessingInstructionEvent(line=line, column=column, target=target, data=data)
-
-    def _parse_quoted(self) -> str:
-        quote = self._peek()
+        pos = _match_space(text, pos).end()
+        if not text.startswith("=", pos):
+            self._error("expected '='", pos)
+        pos = _match_space(text, pos + 1).end()
+        quote = text[pos : pos + 1]
         if quote not in ("'", '"'):
-            self._error("expected a quoted value")
-        self._advance(1)
-        raw = self._scan_until(quote, "quoted value")
-        self._advance(1)
+            self._error("expected a quoted value", pos)
+        end = text.find(quote, pos + 1)
+        if end < 0:
+            self._error(f"unterminated quoted value: missing {quote!r}", pos + 1)
+        raw = text[pos + 1 : end]
         if "<" in raw:
-            self._error("'<' is not allowed in attribute values")
-        # Attribute-value normalization: whitespace chars become spaces.
-        normalized = raw.replace("\t", " ").replace("\n", " ")
-        return self._resolve_entities(normalized)
+            self._error("'<' is not allowed in attribute values", end + 1)
+        return self._attribute_value(raw, end + 1), end + 1
 
-    def _resolve_entities(self, raw: str) -> str:
+    def _attribute_value(self, raw: str, pos: int) -> str:
+        # Attribute-value normalization: whitespace chars become spaces.
+        return self._resolve_entities(raw.replace("\t", " ").replace("\n", " "), pos)
+
+    def _resolve_entities(self, raw: str, pos: int) -> str:
         if "&" not in raw:
             return raw
-        parts: list[str] = []
-        index = 0
-        while True:
-            amp = raw.find("&", index)
-            if amp < 0:
-                parts.append(raw[index:])
-                break
-            parts.append(raw[index:amp])
-            semi = raw.find(";", amp + 1)
-            if semi < 0:
-                self._error("unterminated entity reference")
-            entity = raw[amp + 1 : semi]
-            parts.append(self._expand_entity(entity))
-            index = semi + 1
-        return "".join(parts)
+        return _entity_reference.sub(lambda match: self._expand_entity(match, pos), raw)
 
-    def _expand_entity(self, entity: str) -> str:
+    def _expand_entity(self, match: re.Match, pos: int) -> str:
+        entity, semicolon = match.groups()
+        if not semicolon:
+            self._error("unterminated entity reference", pos)
         if entity in _PREDEFINED_ENTITIES:
             return _PREDEFINED_ENTITIES[entity]
         if entity.startswith("#x") or entity.startswith("#X"):
@@ -266,120 +191,186 @@ class PullParser:
         elif entity.startswith("#"):
             body, base = entity[1:], 10
         else:
-            self._error(f"undefined entity &{entity};")
+            self._error(f"undefined entity &{entity};", pos)
         try:
-            code = int(body, base)
-            ch = chr(code)
+            ch = chr(int(body, base))
         except (ValueError, OverflowError):
-            self._error(f"invalid character reference &{entity};")
+            self._error(f"invalid character reference &{entity};", pos)
         if not chars.is_xml_char(ch):
-            self._error(f"character reference &{entity}; is not a legal XML character")
+            self._error(f"character reference &{entity}; is not a legal XML character", pos)
         return ch
+
+    # -- prolog -----------------------------------------------------------
+
+    def _parse_xml_decl(self):
+        text = self._text
+        params: dict[str, str] = {}
+        pos = 5
+        while True:
+            pos = _match_space(text, pos).end()
+            if text.startswith("?>", pos):
+                pos += 2
+                break
+            name = self._name(pos)
+            params[name], pos = self._eq_value(pos + len(name))
+        version = params.get("version")
+        if version is None:
+            self._error("XML declaration missing version", pos)
+        fields = (version, params.get("encoding"), params.get("standalone"))
+        return (XMLDeclEvent, 0, fields), pos
+
+    def _skip_doctype(self, pos: int) -> int:
+        if not self._text.startswith("<!DOCTYPE", pos):
+            return pos
+        depth = 0
+        for delimiter in _find_doctype_delimiters(self._text, pos + len("<!DOCTYPE")):
+            if delimiter[0] == "[":
+                depth += 1
+            elif delimiter[0] == "]":
+                depth -= 1
+            elif depth == 0:
+                return delimiter.end()
+        self._error("unterminated DOCTYPE declaration", len(self._text))
+
+    def _parse_misc(self, pos: int):
+        """Comments, PIs and whitespace outside the root element."""
+        text = self._text
+        while True:
+            pos = _match_space(text, pos).end()
+            if text.startswith("<!--", pos):
+                item, pos = self._parse_comment(pos)
+            elif text.startswith("<?", pos):
+                item, pos = self._parse_pi(pos)
+            else:
+                return pos
+            yield item
+
+    # -- markup -----------------------------------------------------------
+
+    def _parse_comment(self, pos: int):
+        text = self._text
+        end = text.find("--", pos + 4)
+        if end < 0:
+            self._error("unterminated comment: missing '--'", pos + 4)
+        if not text.startswith(">", end + 2):
+            self._error("'--' is not allowed inside comments", end + 2)
+        return (CommentEvent, pos, (text[pos + 4 : end],)), end + 3
+
+    def _parse_pi(self, pos: int):
+        text = self._text
+        target = self._name(pos + 2)
+        cursor = pos + 2 + len(target)
+        if target.lower() == "xml":
+            self._error("processing instruction target may not be 'xml'", cursor)
+        data = ""
+        if not text.startswith("?", cursor):
+            start = _match_space(text, cursor).end()
+            if start == cursor:
+                self._error("expected whitespace", cursor)
+            cursor = text.find("?>", start)
+            if cursor < 0:
+                self._error("unterminated processing instruction: missing '?>'", start)
+            data = text[start:cursor]
+        if not text.startswith("?>", cursor):
+            self._error("expected '?>'", cursor)
+        return (ProcessingInstructionEvent, pos, (target, data)), cursor + 2
+
+    def _parse_cdata(self, pos: int):
+        start = pos + len("<![CDATA[")
+        end = self._text.find("]]>", start)
+        if end < 0:
+            self._error("unterminated CDATA section: missing ']]>'", start)
+        return (CDataEvent, pos, (self._text[start:end],)), end + 3
 
     # -- element content ---------------------------------------------------
 
-    def _parse_element(self) -> Iterator[Event]:
+    def _parse_element(self, pos: int):
         """Parse one element (the root); iterative to handle deep trees."""
-        first = self._parse_start_tag()
-        yield first
-        if first.empty:
-            yield EndElementEvent(line=first.line, column=first.column, name=first.name)
-            return
-        self._open_elements.append(first.name)
-        while self._open_elements:
-            if self._at_end():
-                self._error(f"unexpected end of document inside <{self._open_elements[-1]}>")
-            if self._text.startswith("<!--", self._pos):
-                yield self._parse_comment()
-            elif self._text.startswith("<![CDATA[", self._pos):
-                yield self._parse_cdata()
-            elif self._text.startswith("</", self._pos):
-                yield self._parse_end_tag()
-            elif self._text.startswith("<?", self._pos):
-                yield self._parse_pi()
-            elif self._text.startswith("<!", self._pos):
-                self._error("unexpected markup declaration in content")
-            elif self._peek() == "<":
-                start = self._parse_start_tag()
-                yield start
-                if start.empty:
-                    yield EndElementEvent(
-                        line=start.line, column=start.column, name=start.name
-                    )
+        text = self._text
+        length = len(text)
+        open_elements: list[str] = []
+        at_root = True  # whatever stands here has to be the root's start tag
+        while at_root or open_elements:
+            if pos >= length:
+                self._error(f"unexpected end of document inside <{open_elements[-1]}>", pos)
+            following = text[pos + 1 : pos + 2]
+            if at_root or (text[pos] == "<" and following not in ("/", "!", "?")):
+                at_root = False
+                fields, end = self._parse_start_tag(pos)
+                yield StartElementEvent, pos, fields
+                if fields[2]:  # <empty/>: its end tag, at the same place
+                    yield EndElementEvent, pos, fields[:1]
                 else:
-                    self._open_elements.append(start.name)
+                    open_elements.append(fields[0])
+                pos = end
+            elif text[pos] != "<":
+                end = text.find("<", pos)
+                if end < 0:
+                    end = length
+                raw = text[pos:end]
+                if "]]>" in raw:
+                    self._error("']]>' is not allowed in character data", end)
+                yield CharactersEvent, pos, (self._resolve_entities(raw, end),)
+                pos = end
+            elif following == "/":
+                name = self._name(pos + 2)
+                close = _match_space(text, pos + 2 + len(name)).end()
+                if not text.startswith(">", close):
+                    self._error("expected '>'", close)
+                expected = open_elements.pop()
+                if name != expected:
+                    self._error(
+                        f"mismatched end tag: expected </{expected}>, found </{name}>",
+                        close + 1,
+                    )
+                yield EndElementEvent, pos, (name,)
+                pos = close + 1
+            elif following == "?":
+                item, pos = self._parse_pi(pos)
+                yield item
+            elif text.startswith("<!--", pos):
+                item, pos = self._parse_comment(pos)
+                yield item
+            elif text.startswith("<![CDATA[", pos):
+                item, pos = self._parse_cdata(pos)
+                yield item
             else:
-                event = self._parse_characters()
-                if event is not None:
-                    yield event
+                self._error("unexpected markup declaration in content", pos)
+        return pos
 
-    def _parse_start_tag(self) -> StartElementEvent:
-        line, column = self._line, self._column
-        self._expect("<")
-        name = self._parse_name()
+    def _parse_start_tag(self, pos: int) -> tuple[tuple, int]:
+        """``(name, attributes, empty)`` of the tag at ``pos``, and its end."""
+        text = self._text
+        if not text.startswith("<", pos):
+            self._error("expected '<'", pos)
+        name = self._name(pos + 1)
+        cursor = pos + 1 + len(name)
         attributes: list[tuple[str, str]] = []
         seen: set[str] = set()
         while True:
-            had_space = self._peek() in chars.WHITESPACE
-            self._skip_whitespace()
-            if self._peek(2) == "/>":
-                self._advance(2)
-                return StartElementEvent(
-                    line=line, column=column, name=name,
-                    attributes=tuple(attributes), empty=True,
-                )
-            if self._peek() == ">":
-                self._advance(1)
-                return StartElementEvent(
-                    line=line, column=column, name=name,
-                    attributes=tuple(attributes), empty=False,
-                )
-            if not had_space:
-                self._error(f"expected whitespace before attribute in <{name}>")
-            attr_name = self._parse_name()
+            match = _match_attribute(text, cursor)
+            if match is not None:
+                attr_name, name_end = match[1], match.end(1)
+            else:
+                # Not a whole attribute: the end of the tag, or an error.
+                space = _match_space(text, cursor).end()
+                empty = text.startswith("/>", space)
+                if empty or text.startswith(">", space):
+                    return (name, tuple(attributes), empty), space + (2 if empty else 1)
+                if space == cursor < len(text):
+                    self._error(f"expected whitespace before attribute in <{name}>", space)
+                attr_name = self._name(space)
+                name_end = space + len(attr_name)
             if attr_name in seen:
-                self._error(f"duplicate attribute {attr_name!r} in <{name}>")
+                self._error(f"duplicate attribute {attr_name!r} in <{name}>", name_end)
             seen.add(attr_name)
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            attributes.append((attr_name, self._parse_quoted()))
-
-    def _parse_end_tag(self) -> EndElementEvent:
-        line, column = self._line, self._column
-        self._expect("</")
-        name = self._parse_name()
-        self._skip_whitespace()
-        self._expect(">")
-        if not self._open_elements:
-            self._error(f"unmatched end tag </{name}>")
-        expected = self._open_elements.pop()
-        if name != expected:
-            self._error(f"mismatched end tag: expected </{expected}>, found </{name}>")
-        return EndElementEvent(line=line, column=column, name=name)
-
-    def _parse_cdata(self) -> CDataEvent:
-        line, column = self._line, self._column
-        self._expect("<![CDATA[")
-        body = self._scan_until("]]>", "CDATA section")
-        self._expect("]]>")
-        return CDataEvent(line=line, column=column, text=body)
-
-    def _parse_characters(self) -> CharactersEvent | None:
-        line, column = self._line, self._column
-        index = self._text.find("<", self._pos)
-        if index < 0:
-            index = len(self._text)
-        raw = self._advance(index - self._pos)
-        if "]]>" in raw:
-            self._error("']]>' is not allowed in character data")
-        text = self._resolve_entities(raw)
-        for ch in text:
-            if not chars.is_xml_char(ch):
-                self._error(f"illegal character U+{ord(ch):04X} in content")
-        if not text:
-            return None
-        return CharactersEvent(line=line, column=column, text=text)
+            if match is None:
+                value, cursor = self._eq_value(name_end)
+            else:
+                value, cursor = match[match.lastindex], match.end()
+                if "&" in value or "\t" in value or "\n" in value:
+                    value = self._attribute_value(value, cursor)
+            attributes.append((attr_name, value))
 
 
 def parse_events(source: str) -> list[Event]:

@@ -138,18 +138,21 @@ def parse_document(source: str) -> Element:
     scope = NamespaceScope()
     root: Element | None = None
     stack: list[Element] = []
-    for event in PullParser(source).events():
-        if isinstance(event, StartElementEvent):
-            scope.push(event.attributes)
-            namespace, local = scope.resolve_qname(event.name)
+    parser = PullParser(source)
+    for kind, pos, fields in parser._scan():
+        if kind is StartElementEvent:
+            tag, attributes, _ = fields
+            scope.push(attributes)
+            namespace, local = scope.resolve_qname(tag)
+            line, column = parser._locate(pos)
             element = Element(
-                tag=event.name,
-                attributes=dict(event.attributes),
+                tag=tag,
+                attributes=dict(attributes),
                 namespace=namespace,
                 local=local,
                 scope=scope.bindings(),
-                line=event.line,
-                column=event.column,
+                line=line,
+                column=column,
             )
             # Attribute names with prefixes must resolve too (check only;
             # raw names stay the lookup keys, matching the paper's usage).
@@ -161,12 +164,11 @@ def parse_document(source: str) -> Element:
             elif root is None:
                 root = element
             stack.append(element)
-        elif isinstance(event, EndElementEvent):
+        elif kind is EndElementEvent:
             stack.pop()
             scope.pop()
-        elif isinstance(event, (CharactersEvent, CDataEvent)):
-            if stack:
-                stack[-1].text += event.text
+        elif kind is CharactersEvent or kind is CDataEvent:
+            stack[-1].text += fields[0]
     if root is None:
         raise XMLError("document has no root element")
     return root

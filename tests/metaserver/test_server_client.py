@@ -48,6 +48,33 @@ class TestStaticDocuments:
         with pytest.raises(DiscoveryError, match="not a valid schema"):
             MetadataClient().get_schema(url)
 
+    def test_schema_with_byte_order_mark_is_readable(self, server, tmp_path):
+        from repro.schema import parse_schema_file
+
+        url = server.publish_schema("/bom.xsd", "\ufeff" + FIGURE_9)
+        assert "ASDOffEvent" in MetadataClient().get_schema(url).complex_types
+        path = tmp_path / "bom.xsd"
+        path.write_text(FIGURE_9, encoding="utf-8-sig")
+        assert "ASDOffEvent" in parse_schema_file(path).complex_types
+
+    def test_undecodable_document_rejected_by_client(self, server):
+        from repro.metaserver.http import HTTPResponse
+
+        server.catalog.attach_prefix_handler(
+            "/latin1", lambda request: HTTPResponse(200, body=b"<a>\xe9</a>")
+        )
+        with pytest.raises(DiscoveryError, match="not a valid schema"):
+            MetadataClient().get_schema(server.url_for("/latin1.xsd"))
+
+    def test_programming_error_is_not_relabelled(self, server, monkeypatch):
+        def broken(text):
+            raise AttributeError("a bug, not a bad document")
+
+        monkeypatch.setattr("repro.metaserver.client.parse_schema", broken)
+        url = server.publish_schema("/s.xsd", FIGURE_9)
+        with pytest.raises(AttributeError):
+            MetadataClient().get_schema(url)
+
     def test_query_string_ignored_for_static_lookup(self, server):
         server.publish_schema("/s.xsd", FIGURE_9)
         body = http_get(server.url_for("/s.xsd?client=gate7"))

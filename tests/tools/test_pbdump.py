@@ -55,6 +55,13 @@ class TestPbdump:
         assert "# format 'tick'" in out
         assert "[1]" not in out
 
+    def test_stats_show_what_reading_generated(self, archive, capsys, fresh_registry):
+        assert pbdump_tool.main([str(archive), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "# --- metrics ---" in out
+        assert 'pbio_codegen_total{kind="converter",event="miss"} 1' in out
+        assert 'pbio_codegen_seconds_count{kind="converter"} 1' in out
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert pbdump_tool.main([str(tmp_path / "absent.pbio")]) == 1
         assert "error" in capsys.readouterr().err

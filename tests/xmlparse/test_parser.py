@@ -194,6 +194,43 @@ class TestPositions:
         assert start.attributes == (("x", "one two"),)
 
 
+class TestLegalCharactersEverywhere:
+    """Production [2] holds for the whole document, not just content."""
+
+    @pytest.mark.parametrize(
+        "document, code, line, column",
+        [
+            ('<a b="\x01"/>', "U+0001", 1, 7),
+            ("<a>\n<!-- \x01 --></a>", "U+0001", 2, 6),
+            ("<a><![CDATA[\x00]]></a>", "U+0000", 1, 13),
+            ("<a>ok</a><?p \x0b?>", "U+000B", 1, 14),
+            ("<a>\ufffe</a>", "U+FFFE", 1, 4),
+            ("<a\ud800/>", "U+D800", 1, 3),
+        ],
+    )
+    def test_illegal_character_rejected_where_it_sits(self, document, code, line, column):
+        with pytest.raises(XMLSyntaxError, match=f"illegal character {code.replace('+', '.')}") as caught:
+            parse_events(document)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_tab_newline_and_astral_characters_are_legal(self):
+        (chars,) = events_of_type("<a>\t\n\U0001F600\ufffd</a>", CharactersEvent)
+        assert chars.text == "\t\n\U0001F600\ufffd"
+
+
+class TestByteOrderMark:
+    def test_one_leading_bom_is_dropped(self):
+        events = parse_events('\ufeff<?xml version="1.0"?>\n<a/>')
+        assert isinstance(events[0], XMLDeclEvent)
+        assert (events[1].line, events[1].column) == (2, 1)
+
+    def test_bom_elsewhere_is_ordinary_content(self):
+        (chars,) = events_of_type("<a>\ufeff</a>", CharactersEvent)
+        assert chars.text == "\ufeff"
+        with pytest.raises(XMLSyntaxError, match="expected '<' at line 1, column 1"):
+            parse_events("\ufeff\ufeff<a/>")
+
+
 class TestPaperSchemaDocument:
     """The paper's own Figure 6 schema must parse cleanly."""
 
