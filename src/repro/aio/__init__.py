@@ -18,7 +18,9 @@ sync endpoint interoperates with any async endpoint:
   pipelining: many in-flight format resolutions over one socket;
 - :class:`AsyncEventBroker` / :class:`AsyncBackboneClient` — the event
   backbone's broker front end and remote client on coroutines, with
-  bounded per-subscriber queues;
+  bounded per-subscriber queues; drivers of the same sans-IO protocol
+  core (:mod:`repro.events.protocol`) as the threaded pair, so the two
+  planes cannot disagree about an envelope;
 - :class:`AsyncFaultyChannel` — PR 1's seeded
   :class:`~repro.faults.plan.FaultPlan` applied unchanged to the async
   plane;

@@ -1,11 +1,13 @@
 """The event backbone's asyncio front end: broker server and client.
 
-Speaks the exact envelope protocol of :mod:`repro.events.remote`
-(docs/PROTOCOL.md §7) over :class:`~repro.aio.channel.AsyncTCPChannel`,
-against the same :class:`~repro.events.backbone.EventBackbone` — hand
-one backbone to a threaded :class:`~repro.events.remote.BrokerServer`
-and an :class:`AsyncEventBroker` and clients of either plane exchange
-events through it.
+The asyncio drivers of the envelope protocol in
+:mod:`repro.events.protocol` (docs/PROTOCOL.md §7), which the threaded
+plane (:mod:`repro.events.remote`) drives too, over
+:class:`~repro.aio.channel.AsyncTCPChannel` and against the same
+:class:`~repro.events.backbone.EventBackbone` — hand one backbone to a
+threaded :class:`~repro.events.remote.BrokerServer` and an
+:class:`AsyncEventBroker` and clients of either plane exchange events
+through it.
 
 Where the threaded broker spends two threads per connection (reader +
 deliverer), the async broker spends two tasks; at a thousand
@@ -25,29 +27,13 @@ import threading
 from collections import deque
 
 from repro.aio.channel import AsyncChannel, AsyncTCPChannel, connect
-from repro.errors import ChannelClosedError, TransportError, WireError
+from repro.errors import ChannelClosedError, ReproError, TransportError
 from repro.events.backbone import EventBackbone, RoutedFrame
 from repro.events.endpoints import Event
-from repro.obs.propagate import extract, inject
-from repro.events.remote import (
-    OP_ADVERTISE,
-    OP_EVENT,
-    OP_PING,
-    OP_PONG,
-    OP_PUBLISH,
-    OP_SUBSCRIBE,
-    OP_SUBSCRIBED,
-    pack_envelope,
-    unpack_envelope,
-)
-from repro.pbio.context import (
-    HEADER_SIZE,
-    KIND_BATCH,
-    KIND_DATA,
-    KIND_FORMAT,
-    IOContext,
-)
+from repro.events.protocol import ClientSession, ServerSession
+from repro.pbio.context import IOContext
 from repro.pbio.format import IOFormat
+from repro.pbio.stream import RecordSender
 
 #: Default per-subscriber queue bound (messages, not bytes).
 DEFAULT_QUEUE_LIMIT = 1024
@@ -67,11 +53,11 @@ class _AsyncSinkQueue:
         self._loop = loop
         self._maxsize = maxsize
         self._mutex = threading.Lock()
-        self._items: deque[tuple[str, bytes]] = deque()
+        self._items: deque[RoutedFrame] = deque()
         self._ready = asyncio.Event()
         self._closed = False
 
-    def put(self, stream: str, message) -> None:
+    def put(self, stream: str, frame: RoutedFrame) -> None:
         with self._mutex:
             if self._closed:
                 return
@@ -79,10 +65,12 @@ class _AsyncSinkQueue:
                 raise TransportError(
                     f"subscriber queue full ({self._maxsize} messages)"
                 )
-            self._items.append((stream, message))
+            self._items.append(frame)
         self._loop.call_soon_threadsafe(self._ready.set)
 
-    async def _pop(self) -> tuple[str, object]:
+    async def get(self) -> RoutedFrame:
+        """The oldest frame — shared by every sink of its fan-out, so
+        the delivery loops reuse one cached envelope."""
         while True:
             with self._mutex:
                 if self._items:
@@ -91,24 +79,6 @@ class _AsyncSinkQueue:
                     raise TransportError("subscription cancelled")
                 self._ready.clear()
             await self._ready.wait()
-
-    async def get(self) -> tuple[str, bytes]:
-        stream, item = await self._pop()
-        if isinstance(item, RoutedFrame):
-            return stream, item.message
-        return stream, item
-
-    async def get_frame(self) -> RoutedFrame:
-        """The shared :class:`~repro.events.backbone.RoutedFrame`.
-
-        Lets the delivery loop reuse the envelope cached across every
-        sink of a fan-out; raw-bytes items (metadata replay) are wrapped
-        on the way out.
-        """
-        stream, item = await self._pop()
-        if isinstance(item, RoutedFrame):
-            return item
-        return RoutedFrame(stream, item)
 
     def close(self) -> None:
         with self._mutex:
@@ -196,36 +166,17 @@ class AsyncEventBroker:
 
     async def _serve_connection(self, channel: AsyncTCPChannel) -> None:
         queue = _AsyncSinkQueue(asyncio.get_running_loop(), self.queue_limit)
+        session = ServerSession(self.backbone, queue)
         delivery = asyncio.ensure_future(self._delivery_loop(channel, queue))
-        subscribed = False
         try:
             while True:
-                try:
-                    message = await channel.recv()
-                except (ChannelClosedError, WireError):
-                    break
-                op, name, extra, payload = unpack_envelope(message)
-                if op == OP_SUBSCRIBE:
-                    self.backbone.attach_queue(name, queue)
-                    subscribed = True
-                    # Ack so the client knows routing is active before it
-                    # lets publishers race ahead (same as the sync broker).
-                    await channel.send(pack_envelope(OP_SUBSCRIBED, name))
-                elif op == OP_PUBLISH:
-                    self.backbone.route(name, payload)
-                elif op == OP_ADVERTISE:
-                    self.backbone.set_metadata_url(name, extra)
-                elif op == OP_PING:
-                    # One connection's envelopes are processed in order:
-                    # the pong confirms every earlier publish routed.
-                    await channel.send(pack_envelope(OP_PONG, name))
-                else:
-                    break  # protocol violation: drop the connection
+                reply = session.feed(await channel.recv())
+                if reply is not None:
+                    await channel.send(reply)
+        except ReproError:
+            pass  # peer gone or protocol violation: drop this connection only
         finally:
-            if subscribed:
-                self.backbone.unsubscribe(queue)
-            else:
-                queue.close()
+            session.close()
             delivery.cancel()
             try:
                 await delivery
@@ -235,7 +186,7 @@ class AsyncEventBroker:
     async def _delivery_loop(self, channel: AsyncTCPChannel, queue) -> None:
         try:
             while True:
-                frame = await queue.get_frame()
+                frame = await queue.get()
                 # envelope() is cached on the shared frame: the first
                 # sink of a fan-out builds it, the rest reuse it.
                 await channel.send(frame.envelope())
@@ -256,9 +207,8 @@ class AsyncBackboneClient:
     def __init__(self, channel: AsyncChannel, context: IOContext) -> None:
         self.channel = channel
         self.context = context
-        self._pending: list[bytes] = []  # events buffered during subscribe
-        self._ready: list[Event] = []  # events expanded from a batch message
-        self.patterns: list[str] = []
+        self._session = ClientSession(context)
+        self.patterns = self._session.patterns  # one list, kept by the session
 
     @classmethod
     async def connect(
@@ -273,34 +223,30 @@ class AsyncBackboneClient:
         """A publishing handle on ``stream`` over this connection."""
         return AsyncRemotePublisher(self, stream)
 
+    async def route(self, stream: str, message: bytes) -> None:
+        """Send one context message to ``stream`` (fire and forget)."""
+        await self._send(self._session.publish(stream, message))
+
+    async def set_metadata_url(self, stream: str, url: str) -> None:
+        """Advertise ``stream``'s schema document URL on the broker."""
+        await self._send(self._session.advertise(stream, url))
+
+    async def _send(self, message: bytes) -> None:
+        await self.channel.send(message)
+
     # -- subscribing ----------------------------------------------------------
 
     async def subscribe(self, pattern: str, timeout: float = 10.0) -> None:
         """Register ``pattern``; returns once the broker confirms."""
-        await self.channel.send(pack_envelope(OP_SUBSCRIBE, pattern))
-        while True:
-            message = await self.channel.recv(timeout)
-            op, name, _, _ = unpack_envelope(message)
-            if op == OP_SUBSCRIBED and name == pattern:
-                break
-            if op == OP_EVENT:
-                self._pending.append(message)
-                continue
-            raise WireError(f"unexpected op {op} while awaiting subscribe ack")
-        self.patterns.append(pattern)
+        await self._send(self._session.subscribe(pattern))
+        while self._session.awaiting:
+            self._session.feed(await self.channel.recv(timeout))
 
     async def flush(self, timeout: float = 10.0) -> None:
         """Block until the broker has processed everything sent so far."""
-        await self.channel.send(pack_envelope(OP_PING, "sync"))
-        while True:
-            message = await self.channel.recv(timeout)
-            op, _, _, _ = unpack_envelope(message)
-            if op == OP_PONG:
-                return
-            if op == OP_EVENT:
-                self._pending.append(message)
-                continue
-            raise WireError(f"unexpected op {op} while awaiting pong")
+        await self._send(self._session.ping())
+        while self._session.awaiting:
+            self._session.feed(await self.channel.recv(timeout))
 
     async def next_event(
         self, timeout: float | None = None, *, expect: str | None = None
@@ -311,43 +257,10 @@ class AsyncBackboneClient:
         in the batch becomes one event, in batch order.
         """
         while True:
-            if self._ready:
-                return self._ready.pop(0)
-            if self._pending:
-                message = self._pending.pop(0)
-            else:
-                message = await self.channel.recv(timeout)
-            op, stream_name, _, payload = unpack_envelope(message)
-            if op in (OP_SUBSCRIBED, OP_PONG):
-                continue  # late acks are not events
-            if op != OP_EVENT:
-                raise WireError(f"unexpected op {op} from broker")
-            payload, trace = extract(payload)
-            kind, _, _, length, _ = IOContext.parse_header(payload)
-            if kind == KIND_FORMAT:
-                self.context.learn_format(payload[HEADER_SIZE : HEADER_SIZE + length])
-                continue
-            if kind == KIND_BATCH:
-                batch = self.context.decode_batch(payload)
-                self._ready.extend(
-                    Event(
-                        stream=stream_name,
-                        format_name=batch.format_name,
-                        values=values,
-                        trace=trace,
-                    )
-                    for values in batch.records
-                )
-                continue
-            if kind != KIND_DATA:
-                continue
-            decoded = self.context.decode(payload, expect=expect)
-            return Event(
-                stream=stream_name,
-                format_name=decoded.format_name,
-                values=decoded.values,
-                trace=trace,
-            )
+            event = self._session.next_event(expect)
+            if event is not None:
+                return event
+            self._session.feed(await self.channel.recv(timeout))
 
     async def close(self) -> None:
         """Disconnect from the broker."""
@@ -361,55 +274,36 @@ class AsyncBackboneClient:
 
 
 class AsyncRemotePublisher:
-    """A capture point's async handle on one stream of a remote broker."""
+    """A capture point's async handle on one stream of a remote broker.
+
+    :class:`~repro.events.endpoints.Publisher` with ``await`` at each
+    ``route``: the record stream decides what to send, the client sends.
+    """
 
     def __init__(self, client: AsyncBackboneClient, stream: str) -> None:
         self.client = client
         self.stream = stream
-        self._announced: set[bytes] = set()
+        self._sender = RecordSender(client.context)
         self.published = 0
 
     async def publish(self, fmt: IOFormat | str, record: dict) -> None:
         """Encode and publish one record (metadata pushed on first use)."""
-        context = self.client.context
-        if isinstance(fmt, str):
-            fmt = context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            await self.client.channel.send(
-                pack_envelope(
-                    OP_PUBLISH, self.stream, payload=context.format_message(fmt)
-                )
-            )
-            self._announced.add(fmt.format_id)
-        await self.client.channel.send(
-            pack_envelope(
-                OP_PUBLISH, self.stream, payload=inject(context.encode(fmt, record))
-            )
-        )
-        self.published += 1
+        await self._route(fmt, *self._sender.record(fmt, record))
 
     async def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message; returns
         the record count."""
-        context = self.client.context
-        if isinstance(fmt, str):
-            fmt = context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            await self.client.channel.send(
-                pack_envelope(
-                    OP_PUBLISH, self.stream, payload=context.format_message(fmt)
-                )
-            )
-            self._announced.add(fmt.format_id)
-        message = context.encode_batch(fmt, records)
-        await self.client.channel.send(
-            pack_envelope(OP_PUBLISH, self.stream, payload=message)
-        )
-        self.published += 1
+        metadata, parts = self._sender.batch(fmt, records)
+        await self._route(fmt, metadata, b"".join(parts))
         return len(records)
+
+    async def _route(self, fmt, metadata: bytes | None, message: bytes) -> None:
+        if metadata is not None:
+            await self.client.route(self.stream, metadata)
+            self._sender.confirm(fmt)
+        await self.client.route(self.stream, message)
+        self.published += 1
 
     async def advertise_metadata(self, url: str) -> None:
         """Advertise the stream's schema document URL on the broker."""
-        await self.client.channel.send(
-            pack_envelope(OP_ADVERTISE, self.stream, extra=url)
-        )
+        await self.client.set_metadata_url(self.stream, url)

@@ -20,14 +20,17 @@ client.
 from __future__ import annotations
 
 import asyncio
-import json
 
 from repro.aio.client import AsyncMetadataClient
-from repro.cluster.client import QuorumResult, QuorumWriteError, ShardRouter, majority
+from repro.cluster.client import (
+    QuorumResult,
+    QuorumWriter,
+    ShardRouter,
+    WritePlan,
+    count_outcome,
+)
 from repro.cluster.ring import ClusterMap
-from repro.cluster.store import CatalogEntry
 from repro.errors import DiscoveryError
-from repro.obs.metrics import get_registry
 
 
 class AsyncClusterClient:
@@ -47,16 +50,9 @@ class AsyncClusterClient:
     ) -> None:
         self.router = ShardRouter(cluster_map)
         self.client = client if client is not None else AsyncMetadataClient()
-        widest = max(len(s.replicas) for s in cluster_map.shards)
-        if write_quorum is None:
-            write_quorum = majority(widest)
-        if not 1 <= write_quorum <= widest:
-            raise DiscoveryError(
-                f"write_quorum must be in [1, {widest}], got {write_quorum}"
-            )
-        self.write_quorum = write_quorum
+        self._writer = QuorumWriter(self.router, write_quorum, origin)
+        self.write_quorum = self._writer.write_quorum
         self.origin = origin
-        self._version = 0
         self.stats: dict[str, int] = {
             "shard_routes": 0,
             "replica_failovers": 0,
@@ -92,14 +88,14 @@ class AsyncClusterClient:
             except DiscoveryError as exc:
                 last_error = exc
                 self.stats["replica_failovers"] += 1
-                self._count(
+                count_outcome(
                     "cluster_client_failovers_total", ("shard",), (shard.name,)
                 )
                 continue
             outcome = "fallback" if index else "primary"
-            self._count("cluster_client_reads_total", ("outcome",), (outcome,))
+            count_outcome("cluster_client_reads_total", ("outcome",), (outcome,))
             return body
-        self._count("cluster_client_reads_total", ("outcome",), ("error",))
+        count_outcome("cluster_client_reads_total", ("outcome",), ("error",))
         raise DiscoveryError(
             f"all {len(replicas)} replicas of shard {shard.name} failed for "
             f"{path}: {last_error}"
@@ -109,59 +105,22 @@ class AsyncClusterClient:
 
     async def publish(self, path: str, text: str) -> QuorumResult:
         """Replicate a document to the owning shard; W-of-N quorum."""
-        if not path.startswith("/"):
-            raise DiscoveryError(f"paths must start with '/', got {path!r}")
-        return await self._write(self._stamp(path, text, deleted=False))
+        return await self._write(self._writer.plan(path, text))
 
     async def unpublish(self, path: str) -> QuorumResult:
         """Replicate a tombstone for ``path`` (same quorum rules)."""
-        return await self._write(self._stamp(path, "", deleted=True))
+        return await self._write(self._writer.plan(path, deleted=True))
 
-    def _stamp(self, path: str, text: str, *, deleted: bool) -> CatalogEntry:
-        self._version += 1
-        return CatalogEntry(
-            path=path, text=text, version=self._version,
-            origin=self.origin, deleted=deleted,
-        )
-
-    async def _write(self, entry: CatalogEntry) -> QuorumResult:
-        shard, replicas = self.router.route(entry.path)
-        quorum = min(self.write_quorum, len(replicas))
-        body = json.dumps({"entries": [entry.to_json()]}).encode("utf-8")
-
+    async def _write(self, plan: WritePlan) -> QuorumResult:
         async def deliver(replica: str) -> str | None:
             try:
-                await self.client.post(f"http://{replica}/cluster/entries", body)
+                await self.client.post(f"http://{replica}/cluster/entries", plan.body)
                 return None
             except DiscoveryError as exc:
                 return f"{replica}: {exc}"
 
         # Concurrent fan-out: every replica sees the write at once, so
         # quorum latency is the fastest W replicas, not a serial walk.
-        outcomes = await asyncio.gather(*(deliver(r) for r in replicas))
-        failures = tuple(o for o in outcomes if o is not None)
-        result = QuorumResult(
-            path=entry.path, shard=shard.name, acks=len(replicas) - len(failures),
-            replicas=len(replicas), quorum=quorum, failures=failures,
-        )
-        self.stats[f"quorum_{result.outcome}"] += 1
-        self._count(
-            "cluster_client_quorum_writes_total", ("outcome",), (result.outcome,)
-        )
-        if not result.ok:
-            raise QuorumWriteError(
-                f"write of {entry.path} reached {result.acks}/{result.replicas} "
-                f"replicas of shard {shard.name} (quorum {quorum}): "
-                f"{'; '.join(failures)}",
-                result=result,
-            )
-        return result
-
-    @staticmethod
-    def _count(name: str, label_names: tuple[str, ...],
-               labels: tuple[str, ...]) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                name, "cluster client routing/fan-out outcomes", label_names
-            ).labels(*labels).inc()
+        outcomes = await asyncio.gather(*(deliver(r) for r in plan.replicas))
+        failures = [o for o in outcomes if o is not None]
+        return self._writer.conclude(plan, failures, self.stats)

@@ -1,9 +1,10 @@
 """Replica-aware client routing: quorum writes, failover reads.
 
-:class:`ShardRouter` is the pure, transport-free core — key → owning
-shard + replica preference order, straight off the
-:class:`~repro.cluster.ring.ClusterMap` — shared by the sync client
-here and the asyncio client
+:class:`ShardRouter` and :class:`QuorumWriter` are the pure,
+transport-free core — key → owning shard + replica preference order,
+straight off the :class:`~repro.cluster.ring.ClusterMap`, and the
+W-of-N write rules (plan a write, conclude it) — shared by the sync
+client here and the asyncio client
 (:class:`~repro.aio.cluster.AsyncClusterClient`).
 
 :class:`ClusterClient` drives a sharded cluster through an ordinary
@@ -106,6 +107,87 @@ def majority(replicas: int) -> int:
     return replicas // 2 + 1
 
 
+def count_outcome(name: str, label_names: tuple, labels: tuple) -> None:
+    """Bump one cluster-client outcome counter in the metrics registry."""
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            name, "cluster client routing/fan-out outcomes", label_names
+        ).labels(*labels).inc()
+
+
+@dataclass(frozen=True)
+class WritePlan:
+    """One stamped write: where it goes and what each replica is sent."""
+
+    path: str
+    shard: str
+    replicas: tuple[str, ...]
+    quorum: int
+    body: bytes  # the POST /cluster/entries request body
+
+
+class QuorumWriter:
+    """The W-of-N write rules, transport-free: :meth:`plan` a write, let
+    the client deliver ``plan.body`` to every replica its own way (a
+    serial loop, a ``gather``), then :meth:`conclude` with the failures.
+    """
+
+    def __init__(
+        self, router: ShardRouter, write_quorum: int | None, origin: str
+    ) -> None:
+        widest = max(len(s.replicas) for s in router.cluster_map.shards)
+        if write_quorum is None:
+            write_quorum = majority(widest)
+        if not 1 <= write_quorum <= widest:
+            raise DiscoveryError(
+                f"write_quorum must be in [1, {widest}], got {write_quorum}"
+            )
+        self.router = router
+        self.write_quorum = write_quorum
+        self.origin = origin
+        self._version = 0
+
+    def plan(self, path: str, text: str = "", *, deleted: bool = False) -> WritePlan:
+        """Stamp the next ``(version, origin)`` on a document (or, with
+        ``deleted``, a tombstone) and route it to its shard."""
+        if not deleted and not path.startswith("/"):
+            raise DiscoveryError(f"paths must start with '/', got {path!r}")
+        self._version += 1
+        entry = CatalogEntry(
+            path=path, text=text, version=self._version,
+            origin=self.origin, deleted=deleted,
+        )
+        shard, replicas = self.router.route(path)
+        return WritePlan(
+            path=path, shard=shard.name, replicas=replicas,
+            quorum=min(self.write_quorum, len(replicas)),
+            body=json.dumps({"entries": [entry.to_json()]}).encode("utf-8"),
+        )
+
+    @staticmethod
+    def conclude(plan: WritePlan, failures, stats: dict) -> "QuorumResult":
+        """The write's outcome given the per-replica ``failures``; counts
+        it in ``stats`` and the registry, raises
+        :class:`QuorumWriteError` below quorum."""
+        result = QuorumResult(
+            path=plan.path, shard=plan.shard, acks=len(plan.replicas) - len(failures),
+            replicas=len(plan.replicas), quorum=plan.quorum, failures=tuple(failures),
+        )
+        stats[f"quorum_{result.outcome}"] += 1
+        count_outcome(
+            "cluster_client_quorum_writes_total", ("outcome",), (result.outcome,)
+        )
+        if not result.ok:
+            raise QuorumWriteError(
+                f"write of {plan.path} reached {result.acks}/{result.replicas} "
+                f"replicas of shard {plan.shard} (quorum {plan.quorum}): "
+                f"{'; '.join(failures)}",
+                result=result,
+            )
+        return result
+
+
 class ClusterClient:
     """Sharded, replicated metadata access for synchronous callers.
 
@@ -138,16 +220,9 @@ class ClusterClient:
     ) -> None:
         self.router = ShardRouter(cluster_map)
         self.client = client if client is not None else MetadataClient()
-        widest = max(len(s.replicas) for s in cluster_map.shards)
-        if write_quorum is None:
-            write_quorum = majority(widest)
-        if not 1 <= write_quorum <= widest:
-            raise DiscoveryError(
-                f"write_quorum must be in [1, {widest}], got {write_quorum}"
-            )
-        self.write_quorum = write_quorum
+        self._writer = QuorumWriter(self.router, write_quorum, origin)
+        self.write_quorum = self._writer.write_quorum
         self.origin = origin
-        self._version = 0
 
     @property
     def cluster_map(self) -> ClusterMap:
@@ -165,7 +240,7 @@ class ClusterClient:
         shard, replicas = self.router.route(path)
         stats = self.client.cluster
         stats["shard_routes"] += 1
-        self._count("cluster_client_routes_total", ("shard",), (shard.name,))
+        count_outcome("cluster_client_routes_total", ("shard",), (shard.name,))
         last_error: DiscoveryError | None = None
         for index, replica in enumerate(replicas):
             try:
@@ -173,7 +248,7 @@ class ClusterClient:
             except DiscoveryError as exc:
                 last_error = exc
                 stats["replica_failovers"] += 1
-                self._count(
+                count_outcome(
                     "cluster_client_failovers_total", ("shard",), (shard.name,)
                 )
                 continue
@@ -181,12 +256,12 @@ class ClusterClient:
                 # The replica itself was unreachable; the stale cache
                 # carried the read through the failover window.
                 stats["stale_failover_serves"] += 1
-                self._count("cluster_client_reads_total", ("outcome",), ("stale",))
+                count_outcome("cluster_client_reads_total", ("outcome",), ("stale",))
             else:
                 outcome = "fallback" if index else "primary"
-                self._count("cluster_client_reads_total", ("outcome",), (outcome,))
+                count_outcome("cluster_client_reads_total", ("outcome",), (outcome,))
             return result
-        self._count("cluster_client_reads_total", ("outcome",), ("error",))
+        count_outcome("cluster_client_reads_total", ("outcome",), ("error",))
         raise DiscoveryError(
             f"all {len(replicas)} replicas of shard {shard.name} failed for "
             f"{path}: {last_error}"
@@ -210,65 +285,27 @@ class ClusterClient:
 
     def publish(self, path: str, text: str) -> QuorumResult:
         """Replicate a document to the owning shard; W-of-N quorum."""
-        if not path.startswith("/"):
-            raise DiscoveryError(f"paths must start with '/', got {path!r}")
-        return self._write(self._stamp(path, text, deleted=False))
+        return self._write(self._writer.plan(path, text))
 
     def unpublish(self, path: str) -> QuorumResult:
         """Replicate a tombstone for ``path`` (same quorum rules)."""
-        return self._write(self._stamp(path, "", deleted=True))
+        return self._write(self._writer.plan(path, deleted=True))
 
-    def _stamp(self, path: str, text: str, *, deleted: bool) -> CatalogEntry:
-        self._version += 1
-        return CatalogEntry(
-            path=path, text=text, version=self._version,
-            origin=self.origin, deleted=deleted,
-        )
-
-    def _write(self, entry: CatalogEntry) -> QuorumResult:
-        shard, replicas = self.router.route(entry.path)
-        quorum = min(self.write_quorum, len(replicas))
-        body = json.dumps({"entries": [entry.to_json()]}).encode("utf-8")
-        acks = 0
+    def _write(self, plan: WritePlan) -> QuorumResult:
         failures: list[str] = []
         with get_tracer().start_span("cluster.quorum_write") as span:
-            for replica in replicas:
+            for replica in plan.replicas:
                 try:
-                    self.client.post(f"http://{replica}/cluster/entries", body)
-                    acks += 1
+                    self.client.post(f"http://{replica}/cluster/entries", plan.body)
                 except DiscoveryError as exc:
                     failures.append(f"{replica}: {exc}")
-            span.set_tag("shard", shard.name)
-            span.set_tag("acks", acks)
-            span.set_tag("quorum", quorum)
-        result = QuorumResult(
-            path=entry.path, shard=shard.name, acks=acks,
-            replicas=len(replicas), quorum=quorum, failures=tuple(failures),
-        )
-        self.client.cluster[f"quorum_{result.outcome}"] += 1
-        self._count(
-            "cluster_client_quorum_writes_total", ("outcome",), (result.outcome,)
-        )
-        if not result.ok:
-            raise QuorumWriteError(
-                f"write of {entry.path} reached {acks}/{len(replicas)} replicas "
-                f"of shard {shard.name} (quorum {quorum}): "
-                f"{'; '.join(failures)}",
-                result=result,
-            )
-        return result
+            span.set_tag("shard", plan.shard)
+            span.set_tag("acks", len(plan.replicas) - len(failures))
+            span.set_tag("quorum", plan.quorum)
+        return self._writer.conclude(plan, failures, self.client.cluster)
 
     # -- reporting ---------------------------------------------------------------
 
     def stats(self) -> dict:
         """The underlying client's stats (cluster counters included)."""
         return self.client.stats()
-
-    @staticmethod
-    def _count(name: str, label_names: tuple[str, ...],
-               labels: tuple[str, ...]) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                name, "cluster client routing/fan-out outcomes", label_names
-            ).labels(*labels).inc()

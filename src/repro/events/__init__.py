@@ -21,6 +21,14 @@ publish/subscribe broker carrying *encoded PBIO messages*:
 The broker never decodes data messages: like TIBCO or a multicast
 fabric, it is payload-agnostic, which is exactly why NDR's
 sender-native encoding works end to end.
+
+Modules: :mod:`~repro.events.backbone` (streams, routing, metadata
+replay), :mod:`~repro.events.endpoints` (publisher, subscription — the
+in-process drivers of the record stream in :mod:`repro.pbio.stream`),
+:mod:`~repro.events.protocol` (the broker envelope protocol as sans-IO
+state machines: codec, ``ServerSession``, ``ClientSession``) and
+:mod:`~repro.events.remote` (its threaded TCP driver; the asyncio one
+is :mod:`repro.aio.broker`).
 """
 
 from repro.events.backbone import EventBackbone, StreamStats

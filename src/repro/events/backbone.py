@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import fnmatch
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import TransportError
+from repro.events.protocol import OP_EVENT, pack_envelope
 from repro.obs.metrics import get_registry
 from repro.pbio.context import KIND_FORMAT, IOContext
 
@@ -54,9 +56,6 @@ class RoutedFrame:
         """The cached OP_EVENT envelope carrying this frame."""
         env = self._envelope
         if env is None:
-            # Imported here: remote depends on backbone, not vice versa.
-            from repro.events.remote import OP_EVENT, pack_envelope
-
             env = pack_envelope(OP_EVENT, self.stream, payload=self.message)
             # Benign race: concurrent builders produce identical bytes.
             self._envelope = env
@@ -64,47 +63,31 @@ class RoutedFrame:
 
 
 class _SubscriberQueue:
-    """One subscriber's inbox: (stream, message-or-frame) pairs."""
+    """One subscriber's inbox of :class:`RoutedFrame` objects."""
 
     def __init__(self) -> None:
-        self._items: list[tuple[str, object]] = []
+        self._items: deque[RoutedFrame] = deque()
         self._condition = threading.Condition()
         self._closed = False
 
-    def put(self, stream: str, message) -> None:
+    def put(self, stream: str, frame: RoutedFrame) -> None:
         with self._condition:
             if self._closed:
                 return
-            self._items.append((stream, message))
+            self._items.append(frame)
             self._condition.notify()
 
-    def _pop(self, timeout: float | None) -> tuple[str, object]:
+    def get(self, timeout: float | None = None) -> RoutedFrame:
+        """The oldest frame — the object shared by every sink of its
+        fan-out, so sibling delivery loops reuse one cached envelope."""
         with self._condition:
             if not self._condition.wait_for(
                 lambda: self._items or self._closed, timeout=timeout
             ):
                 raise TransportError(f"no event within {timeout}s")
             if self._items:
-                return self._items.pop(0)
+                return self._items.popleft()
             raise TransportError("subscription cancelled")
-
-    def get(self, timeout: float | None = None) -> tuple[str, bytes]:
-        stream, item = self._pop(timeout)
-        if isinstance(item, RoutedFrame):
-            return stream, item.message
-        return stream, item
-
-    def get_frame(self, timeout: float | None = None) -> RoutedFrame:
-        """Like :meth:`get`, but returns the shared :class:`RoutedFrame`.
-
-        Used by remote broker fronts so sibling delivery loops reuse one
-        cached envelope.  Items enqueued as raw bytes (metadata replay)
-        are wrapped on the way out.
-        """
-        stream, item = self._pop(timeout)
-        if isinstance(item, RoutedFrame):
-            return item
-        return RoutedFrame(stream, item)
 
     def close(self) -> None:
         with self._condition:
@@ -167,18 +150,19 @@ class EventBackbone:
         :meth:`subscribe`.
         """
         with self._lock:
-            replay: list[tuple[str, bytes]] = []
+            replay: list[RoutedFrame] = []
             for stream in self._streams.values():
                 if fnmatch.fnmatchcase(stream.name, pattern):
                     if queue not in stream.queues:
                         stream.queues.append(queue)
                         stream.stats.subscribers += 1
                     replay.extend(
-                        (stream.name, message) for message in stream.metadata_cache
+                        RoutedFrame(stream.name, message)
+                        for message in stream.metadata_cache
                     )
             self._subscribe_pattern(pattern, queue)
-        for stream_name, message in replay:
-            queue.put(stream_name, message)
+        for frame in replay:
+            queue.put(frame.stream, frame)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -192,7 +176,9 @@ class EventBackbone:
             stream = _Stream(name)
             self._streams[name] = stream
             for pattern, queue in self._patterns:
-                if fnmatch.fnmatchcase(name, pattern):
+                # One inbox may hold several matching patterns; it still
+                # gets each message once.
+                if fnmatch.fnmatchcase(name, pattern) and queue not in stream.queues:
                     stream.queues.append(queue)
                     stream.stats.subscribers += 1
         return stream

@@ -4,18 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from collections import deque
-
-from repro.obs.propagate import extract, inject
 from repro.obs.trace import TraceContext
-from repro.pbio.context import (
-    HEADER_SIZE,
-    KIND_BATCH,
-    KIND_DATA,
-    KIND_FORMAT,
-    IOContext,
-)
+from repro.pbio.context import IOContext
 from repro.pbio.format import IOFormat
+from repro.pbio.stream import RecordReceiver, RecordSender
 
 
 class Publisher:
@@ -30,21 +22,12 @@ class Publisher:
         self.backbone = backbone
         self.stream = stream
         self.context = context
-        self._announced: set[bytes] = set()
+        self._sender = RecordSender(context)
         self.published = 0
 
     def publish(self, fmt: IOFormat | str, record: dict) -> int:
         """Encode and publish one record; returns the delivery count."""
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            self.backbone.route(self.stream, self.context.format_message(fmt))
-            self._announced.add(fmt.format_id)
-        # Injection after encode: subscribers on any plane strip the
-        # trace block back off and decode the identical NDR bytes.
-        return self.backbone.route(
-            self.stream, inject(self.context.encode(fmt, record))
-        )
+        return self._route(fmt, *self._sender.record(fmt, record))
 
     def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message.
@@ -53,13 +36,16 @@ class Publisher:
         subscriber shares — fan-out cost is per-batch, not per-record.
         Returns the delivery count (subscribers reached).
         """
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            self.backbone.route(self.stream, self.context.format_message(fmt))
-            self._announced.add(fmt.format_id)
-        message = self.context.encode_batch(fmt, records)
-        return self.backbone.route(self.stream, message)
+        metadata, parts = self._sender.batch(fmt, records)
+        return self._route(fmt, metadata, b"".join(parts))
+
+    def _route(self, fmt, metadata: bytes | None, message: bytes) -> int:
+        if metadata is not None:
+            self.backbone.route(self.stream, metadata)
+            self._sender.confirm(fmt)
+        delivered = self.backbone.route(self.stream, message)
+        self.published += 1
+        return delivered
 
     def advertise_metadata(self, url: str) -> None:
         """Advertise the stream's schema document URL on the backbone."""
@@ -79,6 +65,34 @@ class Event:
 
     def __getitem__(self, name: str):
         return self.values[name]
+
+
+class EventDecoder:
+    """``(stream, message)`` pairs in, :class:`Event` objects out: the
+    record stream (:class:`~repro.pbio.stream.RecordReceiver`) with the
+    stream name alongside.  Shared by :class:`Subscription` and the
+    remote clients of both planes."""
+
+    def __init__(self, context: IOContext) -> None:
+        self._records = RecordReceiver(context)
+        self._stream = ""  # origin of the last fed message and its batch tail
+
+    def feed(self, stream: str, message, expect: str | None = None) -> Event | None:
+        """Consume one routed message; the event it completes, if any."""
+        self._stream = stream
+        return self._event(self._records.feed(message, expect))
+
+    def next_ready(self) -> Event | None:
+        """The next event of an already-fed batch message, if any."""
+        ready = self._records.ready
+        return self._event(ready.popleft()) if ready else None
+
+    def _event(self, record) -> Event | None:
+        if record is None:
+            return None
+        return Event(
+            self._stream, record.format_name, record.values, self._records.last_trace
+        )
 
 
 class Subscription:
@@ -102,9 +116,7 @@ class Subscription:
         self.context = context
         self.expect = expect
         self._queue = queue
-        # Events expanded from an already-delivered batch message,
-        # handed out one per next() call in batch order.
-        self._ready: deque[Event] = deque()
+        self._events = EventDecoder(context)
         self.received = 0
         self._active = True
 
@@ -114,38 +126,15 @@ class Subscription:
         Columnar batch messages are expanded transparently: each record
         in the batch becomes one event, in batch order.
         """
+        events = self._events
         while True:
-            if self._ready:
+            event = events.next_ready()
+            if event is None:
+                frame = self._queue.get(timeout)
+                event = events.feed(frame.stream, frame.message, self.expect)
+            if event is not None:
                 self.received += 1
-                return self._ready.popleft()
-            stream_name, message = self._queue.get(timeout)
-            message, trace = extract(message)
-            kind, _, _, length, _ = IOContext.parse_header(message)
-            if kind == KIND_FORMAT:
-                self.context.learn_format(message[HEADER_SIZE : HEADER_SIZE + length])
-                continue
-            if kind == KIND_BATCH:
-                batch = self.context.decode_batch(message)
-                self._ready.extend(
-                    Event(
-                        stream=stream_name,
-                        format_name=batch.format_name,
-                        values=values,
-                        trace=trace,
-                    )
-                    for values in batch.records
-                )
-                continue
-            if kind != KIND_DATA:
-                continue
-            decoded = self.context.decode(message, expect=self.expect)
-            self.received += 1
-            return Event(
-                stream=stream_name,
-                format_name=decoded.format_name,
-                values=decoded.values,
-                trace=trace,
-            )
+                return event
 
     def drain(self, limit: int, timeout: float | None = 1.0) -> list[Event]:
         """Collect up to ``limit`` events (convenience for tests/examples)."""

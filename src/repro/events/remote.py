@@ -7,15 +7,9 @@ behind a TCP listener so that the in-process
 subscriptions, metadata replay for late joiners — are available across
 real sockets.
 
-Wire protocol (per framed message, after the shared length prefix)::
-
-    u8   op          1=SUBSCRIBE  2=PUBLISH  3=EVENT  4=ADVERTISE
-    u16  name_len    stream name (PUBLISH/EVENT/ADVERTISE) or pattern
-    ...  name          (SUBSCRIBE), UTF-8
-    u16  extra_len   metadata URL for ADVERTISE; empty otherwise
-    ...  extra
-    ...  payload     the opaque application message (PUBLISH/EVENT):
-                     a standard PBIO context message, metadata or data
+The envelope protocol (PROTOCOL §7) is :mod:`repro.events.protocol`;
+the classes here are its threaded drivers, owning what is I/O: listener,
+reader and delivery threads, send locks, stop flags, timeouts, redial.
 
 The broker never looks inside payloads — it is subject-based routing in
 the TIBCO style the paper names as a delivery substrate.  Application
@@ -27,60 +21,28 @@ cooperation, exactly like the in-process case.
 
 from __future__ import annotations
 
-import struct
 import threading
 
-from repro.errors import ChannelClosedError, TransportError, WireError
+from repro.errors import ChannelClosedError, ReproError, TransportError
 from repro.events.backbone import EventBackbone, _SubscriberQueue
-from repro.events.endpoints import Event
-from repro.obs.propagate import extract, inject
-from repro.pbio.context import (
-    HEADER_SIZE,
-    KIND_BATCH,
-    KIND_DATA,
-    KIND_FORMAT,
-    IOContext,
+from repro.events.endpoints import Event, Publisher
+from repro.events.protocol import (  # noqa: F401  (the codec's old home)
+    OP_ADVERTISE,
+    OP_EVENT,
+    OP_PING,
+    OP_PONG,
+    OP_PUBLISH,
+    OP_SUBSCRIBE,
+    OP_SUBSCRIBED,
+    ClientSession,
+    ServerSession,
+    pack_envelope,
+    unpack_envelope,
 )
+from repro.pbio.context import IOContext
 from repro.pbio.format import IOFormat
 from repro.transport.channel import Channel
 from repro.transport.tcp import ReconnectingTCPChannel, TCPListener, connect
-
-OP_SUBSCRIBE = 1
-OP_PUBLISH = 2
-OP_EVENT = 3
-OP_ADVERTISE = 4
-OP_SUBSCRIBED = 5  # broker -> client: subscription is active
-OP_PING = 6
-OP_PONG = 7
-
-
-def pack_envelope(op: int, name: str, extra: str = "", payload: bytes = b"") -> bytes:
-    """Build one broker envelope (see docs/PROTOCOL.md §7)."""
-    name_bytes = name.encode("utf-8")
-    extra_bytes = extra.encode("utf-8")
-    return (
-        struct.pack(">BH", op, len(name_bytes))
-        + name_bytes
-        + struct.pack(">H", len(extra_bytes))
-        + extra_bytes
-        + payload
-    )
-
-
-def unpack_envelope(message: bytes) -> tuple[int, str, str, bytes]:
-    """Split an envelope into (op, name, extra, payload)."""
-    try:
-        op, name_len = struct.unpack_from(">BH", message, 0)
-        cursor = 3
-        name = message[cursor : cursor + name_len].decode("utf-8")
-        cursor += name_len
-        (extra_len,) = struct.unpack_from(">H", message, cursor)
-        cursor += 2
-        extra = message[cursor : cursor + extra_len].decode("utf-8")
-        cursor += extra_len
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise WireError(f"malformed backbone envelope: {exc}") from exc
-    return op, name, extra, message[cursor:]
 
 
 class BrokerServer:
@@ -156,20 +118,16 @@ class BrokerServer:
                 continue
             except Exception:
                 return
-            self.connections_served += 1
-            worker = threading.Thread(
-                target=self._serve_connection, args=(channel,), daemon=True
-            )
-            worker.start()
+            self.serve_channel(channel)
 
     def _serve_connection(self, channel: Channel) -> None:
         queue = _SubscriberQueue()
+        session = ServerSession(self.backbone, queue)
         send_lock = threading.Lock()
         deliverer = threading.Thread(
             target=self._delivery_loop, args=(channel, queue, send_lock), daemon=True
         )
         deliverer.start()
-        subscribed = False
         try:
             while not self._stop.is_set():
                 try:
@@ -180,38 +138,20 @@ class BrokerServer:
                     if getattr(exc, "mid_frame", False):
                         break  # stream desynchronized: drop the connection
                     continue  # recv timeout: poll the stop flag
-                op, name, extra, payload = unpack_envelope(message)
-                if op == OP_SUBSCRIBE:
-                    self.backbone.attach_queue(name, queue)
-                    subscribed = True
-                    # Acknowledge so the client knows routing is active
-                    # before it lets publishers race ahead.
+                reply = session.feed(message)
+                if reply is not None:
                     with send_lock:
-                        channel.send(pack_envelope(OP_SUBSCRIBED, name))
-                elif op == OP_PUBLISH:
-                    self.backbone.route(name, payload)
-                elif op == OP_ADVERTISE:
-                    self.backbone.set_metadata_url(name, extra)
-                elif op == OP_PING:
-                    # Messages on one connection are processed in order,
-                    # so the pong confirms every earlier publish routed.
-                    with send_lock:
-                        channel.send(pack_envelope(OP_PONG, name))
-                else:
-                    raise WireError(f"unexpected op {op} from client")
-        except (ChannelClosedError, WireError, OSError):
-            pass
+                        channel.send(reply)
+        except (ReproError, OSError):
+            pass  # peer gone or protocol violation: drop this connection only
         finally:
-            if subscribed:
-                self.backbone.unsubscribe(queue)
-            else:
-                queue.close()
+            session.close()
             channel.close()
 
     def _delivery_loop(self, channel: Channel, queue: _SubscriberQueue, lock) -> None:
         while not self._stop.is_set():
             try:
-                frame = queue.get_frame(timeout=0.5)
+                frame = queue.get(timeout=0.5)
             except TransportError as exc:
                 if "cancelled" in str(exc):
                     return
@@ -240,9 +180,8 @@ class RemoteBackboneClient:
         self.channel = channel
         self.context = context
         self._send_lock = threading.Lock()
-        self._pending: list[bytes] = []  # events buffered during subscribe
-        self._ready: list[Event] = []  # events expanded from a batch message
-        self.patterns: list[str] = []
+        self._session = ClientSession(context)
+        self.patterns = self._session.patterns  # one list, kept by the session
 
     @classmethod
     def connect(
@@ -259,17 +198,17 @@ class RemoteBackboneClient:
         lost — at-most-once, like the socket itself)."""
         if max_reconnects <= 0:
             return cls(connect(host, port), context)
-        client_ref: list["RemoteBackboneClient"] = []
 
         def resubscribe(fresh_channel) -> None:
-            for pattern in client_ref[0].patterns:
-                fresh_channel.send(pack_envelope(OP_SUBSCRIBE, pattern))
+            for envelope in client._session.resubscribe():
+                fresh_channel.send(envelope)
 
-        channel = ReconnectingTCPChannel(
-            host, port, max_reconnects=max_reconnects, on_reconnect=resubscribe
+        client = cls(
+            ReconnectingTCPChannel(
+                host, port, max_reconnects=max_reconnects, on_reconnect=resubscribe
+            ),
+            context,
         )
-        client = cls(channel, context)
-        client_ref.append(client)
         return client
 
     # -- publishing ----------------------------------------------------------
@@ -277,6 +216,14 @@ class RemoteBackboneClient:
     def publisher(self, stream: str) -> "RemotePublisher":
         """A publishing handle on ``stream`` over this connection."""
         return RemotePublisher(self, stream)
+
+    def route(self, stream: str, message: bytes) -> None:
+        """Send one context message to ``stream`` (fire and forget)."""
+        self._send(self._session.publish(stream, message))
+
+    def set_metadata_url(self, stream: str, url: str) -> None:
+        """Advertise ``stream``'s schema document URL on the broker."""
+        self._send(self._session.advertise(stream, url))
 
     def _send(self, message: bytes) -> None:
         with self._send_lock:
@@ -292,30 +239,15 @@ class RemoteBackboneClient:
         the event would be silently missed.  Events arriving for earlier
         subscriptions while waiting are buffered for :meth:`next_event`.
         """
-        self._send(pack_envelope(OP_SUBSCRIBE, pattern))
-        while True:
-            message = self.channel.recv(timeout)
-            op, name, _, _ = unpack_envelope(message)
-            if op == OP_SUBSCRIBED and name == pattern:
-                break
-            if op == OP_EVENT:
-                self._pending.append(message)
-                continue
-            raise WireError(f"unexpected op {op} while awaiting subscribe ack")
-        self.patterns.append(pattern)
+        self._send(self._session.subscribe(pattern))
+        while self._session.awaiting:
+            self._session.feed(self.channel.recv(timeout))
 
     def flush(self, timeout: float = 10.0) -> None:
         """Block until the broker has processed everything sent so far."""
-        self._send(pack_envelope(OP_PING, "sync"))
-        while True:
-            message = self.channel.recv(timeout)
-            op, _, _, _ = unpack_envelope(message)
-            if op == OP_PONG:
-                return
-            if op == OP_EVENT:
-                self._pending.append(message)
-                continue
-            raise WireError(f"unexpected op {op} while awaiting pong")
+        self._send(self._session.ping())
+        while self._session.awaiting:
+            self._session.feed(self.channel.recv(timeout))
 
     def next_event(
         self, timeout: float | None = None, *, expect: str | None = None
@@ -326,45 +258,10 @@ class RemoteBackboneClient:
         in the batch becomes one event, in batch order.
         """
         while True:
-            if self._ready:
-                return self._ready.pop(0)
-            if self._pending:
-                message = self._pending.pop(0)
-            else:
-                message = self.channel.recv(timeout)
-            op, stream_name, _, payload = unpack_envelope(message)
-            if op in (OP_SUBSCRIBED, OP_PONG):
-                # Late acks (e.g. automatic re-subscription after a
-                # reconnect) are not events; skip them.
-                continue
-            if op != OP_EVENT:
-                raise WireError(f"unexpected op {op} from broker")
-            payload, trace = extract(payload)
-            kind, _, _, length, _ = IOContext.parse_header(payload)
-            if kind == KIND_FORMAT:
-                self.context.learn_format(payload[HEADER_SIZE : HEADER_SIZE + length])
-                continue
-            if kind == KIND_BATCH:
-                batch = self.context.decode_batch(payload)
-                self._ready.extend(
-                    Event(
-                        stream=stream_name,
-                        format_name=batch.format_name,
-                        values=values,
-                        trace=trace,
-                    )
-                    for values in batch.records
-                )
-                continue
-            if kind != KIND_DATA:
-                continue
-            decoded = self.context.decode(payload, expect=expect)
-            return Event(
-                stream=stream_name,
-                format_name=decoded.format_name,
-                values=decoded.values,
-                trace=trace,
-            )
+            event = self._session.next_event(expect)
+            if event is not None:
+                return event
+            self._session.feed(self.channel.recv(timeout))
 
     def close(self) -> None:
         """Disconnect from the broker."""
@@ -377,54 +274,22 @@ class RemoteBackboneClient:
         self.close()
 
 
-class RemotePublisher:
-    """A capture point's handle on one stream of a remote broker."""
+class RemotePublisher(Publisher):
+    """A capture point's handle on one stream of a remote broker.
+
+    The in-process :class:`~repro.events.endpoints.Publisher` driving a
+    :class:`RemoteBackboneClient` where it would drive a backbone: the
+    client's ``route`` and ``set_metadata_url`` send the envelopes.
+    """
 
     def __init__(self, client: RemoteBackboneClient, stream: str) -> None:
+        super().__init__(client, stream, client.context)
         self.client = client
-        self.stream = stream
-        self._announced: set[bytes] = set()
-        self.published = 0
-
-    def publish(self, fmt: IOFormat | str, record: dict) -> None:
-        """Encode and publish one record (metadata pushed on first use)."""
-        context = self.client.context
-        if isinstance(fmt, str):
-            fmt = context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            self.client._send(
-                pack_envelope(
-                    OP_PUBLISH, self.stream, payload=context.format_message(fmt)
-                )
-            )
-            self._announced.add(fmt.format_id)
-        self.client._send(
-            pack_envelope(
-                OP_PUBLISH, self.stream, payload=inject(context.encode(fmt, record))
-            )
-        )
-        self.published += 1
 
     def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message; returns
         the record count.  The broker routes the single frame to every
         matching subscriber — fan-out cost is per-batch, not per-record.
         """
-        context = self.client.context
-        if isinstance(fmt, str):
-            fmt = context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            self.client._send(
-                pack_envelope(
-                    OP_PUBLISH, self.stream, payload=context.format_message(fmt)
-                )
-            )
-            self._announced.add(fmt.format_id)
-        message = context.encode_batch(fmt, records)
-        self.client._send(pack_envelope(OP_PUBLISH, self.stream, payload=message))
-        self.published += 1
+        super().publish_batch(fmt, records)
         return len(records)
-
-    def advertise_metadata(self, url: str) -> None:
-        """Advertise the stream's schema document URL on the broker."""
-        self.client._send(pack_envelope(OP_ADVERTISE, self.stream, extra=url))

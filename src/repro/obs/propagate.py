@@ -12,8 +12,8 @@ is untouched, so:
 - :func:`extract` recovers the original message *byte-exactly* (strip
   the block, clear the bit), which the golden-vector suite asserts.
 
-Injection happens at the connection/endpoint layer
-(``RecordConnection``, the broker publishers) — never inside
+Injection happens in the record stream's sender
+(``repro.pbio.stream.RecordSender``) — never inside
 ``IOContext.encode`` — so NDR bytes are provably never perturbed.
 
 This module mirrors the §2 header layout locally instead of importing

@@ -211,6 +211,10 @@ class IOContext:
                 f"no format named {name!r} registered; known: {known}"
             ) from None
 
+    def registered_format(self, format_id: bytes) -> IOFormat | None:
+        """The locally registered format with this id, if any."""
+        return self._by_id.get(format_id)
+
     def format_names(self) -> list[str]:
         """Names of every locally registered format."""
         return list(self._formats)

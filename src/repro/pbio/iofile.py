@@ -20,7 +20,9 @@ File layout::
 :class:`IOFileWriter` appends records (pushing metadata on first use per
 format); :class:`IOFileReader` iterates decoded records, learning
 formats as they appear, and supports ``expect=`` projection for reading
-old archives with evolved formats.
+old archives with evolved formats.  Both are file drivers of the record
+stream in :mod:`repro.pbio.stream` — the same state machines a
+connection runs — so a reader also expands a kind 4 batch message.
 """
 
 from __future__ import annotations
@@ -28,15 +30,10 @@ from __future__ import annotations
 import os
 from typing import BinaryIO, Iterator
 
-from repro.errors import DecodeError, WireError
-from repro.pbio.context import (
-    HEADER_SIZE,
-    KIND_DATA,
-    KIND_FORMAT,
-    DecodedRecord,
-    IOContext,
-)
+from repro.errors import ChannelClosedError, DecodeError, WireError
+from repro.pbio.context import DecodedRecord, IOContext
 from repro.pbio.format import IOFormat
+from repro.pbio.stream import RecordReceiver, RecordSender
 from repro.wire.framing import frame, read_frame
 
 MAGIC = b"PBIOFILE"
@@ -62,18 +59,17 @@ class IOFileWriter:
             self._file = open(target, "wb")
             self._owns_file = True
         self.context = context
-        self._announced: set[bytes] = set()
+        self._sender = RecordSender(context)
         self.records_written = 0
         self._file.write(MAGIC)
 
     def write(self, fmt: IOFormat | str, record: dict) -> None:
         """Append one record, preceding it with metadata on first use."""
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        if fmt.format_id not in self._announced:
-            self._file.write(frame(self.context.format_message(fmt)))
-            self._announced.add(fmt.format_id)
-        self._file.write(frame(self.context.encode(fmt, record)))
+        metadata, message = self._sender.record(fmt, record)
+        if metadata is not None:
+            self._file.write(frame(metadata))
+            self._sender.confirm(fmt)
+        self._file.write(frame(message))
         self.records_written += 1
 
     def close(self) -> None:
@@ -115,6 +111,7 @@ class IOFileReader:
             raise DecodeError(
                 f"not a PBIO file: expected {MAGIC!r} magic, found {magic!r}"
             )
+        self._receiver = RecordReceiver(self.context)
         self.records_read = 0
 
     def records(self, *, expect: str | None = None) -> Iterator[DecodedRecord]:
@@ -124,23 +121,22 @@ class IOFileReader:
         reader's context (reading old archives with new code, or vice
         versa).
         """
-        from repro.errors import ChannelClosedError
-
+        receiver = self._receiver
         while True:
-            try:
-                message = read_frame(self._file.read)
-            except ChannelClosedError:
-                return  # clean end of file at a record boundary
-            except WireError as exc:
-                raise DecodeError(f"truncated PBIO file: {exc}") from exc
-            kind, _, _, length, _ = IOContext.parse_header(message)
-            if kind == KIND_FORMAT:
-                self.context.learn_format(message[HEADER_SIZE : HEADER_SIZE + length])
-                continue
-            if kind != KIND_DATA:
-                raise DecodeError(f"unexpected message kind {kind} in PBIO file")
+            if receiver.ready:
+                record = receiver.ready.popleft()
+            else:
+                try:
+                    message = read_frame(self._file.read)
+                except ChannelClosedError:
+                    return  # clean end of file at a record boundary
+                except WireError as exc:
+                    raise DecodeError(f"truncated PBIO file: {exc}") from exc
+                record = receiver.feed(message, expect)
+                if record is None:
+                    continue
             self.records_read += 1
-            yield self.context.decode(message, expect=expect)
+            yield record
 
     def close(self) -> None:
         """Close the underlying file if this reader opened it."""

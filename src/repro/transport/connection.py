@@ -12,8 +12,11 @@ exchange the paper describes:
   sends a format request; the peer answers with the metadata.  The data
   message is parked meanwhile and decoded once the metadata lands.
 
-Counters expose exactly what the amortization experiment (C4) needs:
-how many bytes went to metadata versus data.
+The push half is the shared record stream of :mod:`repro.pbio.stream`;
+this class moves its messages over the channel and layers pull on miss
+on top, being the only endpoint with a peer to ask.  Counters expose
+exactly what the amortization experiment (C4) needs: how many bytes went
+to metadata versus data.
 """
 
 from __future__ import annotations
@@ -21,18 +24,16 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import DecodeError, TransportError
-from repro.obs.propagate import extract, inject
 from repro.obs.trace import TraceContext
 from repro.pbio.context import (
-    HEADER_SIZE,
     KIND_BATCH,
     KIND_DATA,
-    KIND_FORMAT,
     KIND_REQUEST,
     DecodedRecord,
     IOContext,
 )
 from repro.pbio.format import IOFormat
+from repro.pbio.stream import RecordReceiver, RecordSender
 from repro.transport.channel import Channel
 
 
@@ -42,13 +43,11 @@ class RecordConnection:
     def __init__(self, context: IOContext, channel: Channel) -> None:
         self.context = context
         self.channel = channel
-        self._announced: set[bytes] = set()
-        # Parked data messages await their format metadata; each rides
-        # with the trace context (if any) it arrived with.
-        self._parked: deque[tuple[bytes, TraceContext | None]] = deque()
-        # Records already decoded from a delivered batch message, handed
-        # out one per recv() call in batch order.
-        self._ready: deque[DecodedRecord] = deque()
+        self._sender = RecordSender(context)
+        self._receiver = RecordReceiver(context)
+        # Data messages parked until their format metadata lands, each
+        # with the format id it waits for.
+        self._parked: deque[tuple[bytes, bytes]] = deque()
         # Traffic accounting (bytes on the wire, split by purpose).
         self.data_bytes = 0
         self.metadata_bytes = 0
@@ -56,22 +55,25 @@ class RecordConnection:
         self.metadata_messages = 0
         self.batch_messages = 0  # columnar batch messages sent
         self.batch_records = 0  # records carried by sent batches
-        self.batches_received = 0
-        #: Trace context piggybacked on the last data message received
-        #: (None when the sender did not propagate one).
-        self.last_trace: TraceContext | None = None
+
+    @property
+    def last_trace(self) -> TraceContext | None:
+        """Trace context piggybacked on the last data message received
+        (None when the sender did not propagate one)."""
+        return self._receiver.last_trace
+
+    @property
+    def batches_received(self) -> int:
+        """Columnar batch messages received so far."""
+        return self._receiver.batches_received
 
     # -- sending -----------------------------------------------------------
 
     def send(self, fmt: IOFormat | str, record: dict) -> None:
         """Send one record, pushing format metadata first if needed."""
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        self.announce(fmt)
-        # Trace injection happens here, after encode: NDR bytes are
-        # never perturbed, only the wire message grows a trailing block
-        # (PROTOCOL §11) when the feature flag is on.
-        message = inject(self.context.encode(fmt, record))
+        metadata, message = self._sender.record(fmt, record)
+        if metadata is not None:
+            self._push(metadata, fmt)
         self.channel.send(message)
         self.data_bytes += len(message)
         self.data_messages += 1
@@ -86,12 +88,10 @@ class RecordConnection:
         Batch messages carry no trace piggyback (PROTOCOL §11 tags data
         messages only), so their wire bytes are tracing-invariant.
         """
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        self.announce(fmt)
-        parts = self.context.encode_batch_iov(fmt, records)
-        sent = self.channel.send_batch(parts)
-        self.data_bytes += sent
+        metadata, parts = self._sender.batch(fmt, records)
+        if metadata is not None:
+            self._push(metadata, fmt)
+        self.data_bytes += self.channel.send_batch(parts)
         self.batch_messages += 1
         count = len(records)
         self.batch_records += count
@@ -103,16 +103,18 @@ class RecordConnection:
         Returns True if a metadata message was actually sent.  Exposed
         separately so benchmarks can isolate the push cost.
         """
-        if isinstance(fmt, str):
-            fmt = self.context.lookup_format(fmt)
-        if fmt.format_id in self._announced:
+        metadata = self._sender.announce(fmt)
+        if metadata is None:
             return False
-        message = self.context.format_message(fmt)
-        self.channel.send(message)
-        self._announced.add(fmt.format_id)
-        self.metadata_bytes += len(message)
-        self.metadata_messages += 1
+        self._push(metadata, fmt)
         return True
+
+    def _push(self, metadata: bytes, announced: IOFormat | str | None = None) -> None:
+        self.channel.send(metadata)
+        self.metadata_bytes += len(metadata)
+        self.metadata_messages += 1
+        if announced is not None:
+            self._sender.confirm(announced)
 
     # -- receiving -----------------------------------------------------------
 
@@ -130,82 +132,51 @@ class RecordConnection:
         batch messages are expanded transparently: each record in the
         batch is returned by one ``recv`` call, in batch order.
         """
+        receiver = self._receiver
+        parked = self._parked
         while True:
             # Records left over from an already-delivered batch come
             # first — they predate anything still on the wire.
-            if self._ready:
-                return self._ready.popleft()
-            # Deliver the oldest parked data message once its format is
-            # known — preserving FIFO order across the resolution stall.
-            if self._parked:
-                head, head_trace = self._parked[0]
-                _, _, _, _, head_id = IOContext.parse_header(head)
-                if self.context.knows_format_id(head_id) or self._try_server(head_id):
-                    self._parked.popleft()
-                    return self._deliver(head, head_trace, expect)
-            message, trace = extract(self.channel.recv(timeout))
-            kind, _, _, length, format_id = IOContext.parse_header(message)
-            if kind == KIND_FORMAT:
-                self.context.learn_format(message[HEADER_SIZE : HEADER_SIZE + length])
-                continue
-            if kind == KIND_REQUEST:
-                self._answer_request(format_id)
-                continue
-            if kind not in (KIND_DATA, KIND_BATCH):
-                raise DecodeError(f"unexpected message kind {kind}")
-            if self.context.knows_format_id(format_id) or self._try_server(format_id):
-                if self._parked:
-                    # An earlier record is still stalled; keep order.
-                    self._parked.append((message, trace))
+            if receiver.ready:
+                return receiver.ready.popleft()
+            if parked and self._resolvable(parked[0][0]):
+                # The oldest parked message became decodable: deliver it
+                # first, preserving FIFO order across the stall.
+                message = parked.popleft()[1]
+            else:
+                message = self.channel.recv(timeout)
+                kind, _, _, _, format_id = self.context.parse_header(message)
+                if kind == KIND_REQUEST:
+                    self._answer_request(format_id)
                     continue
-                return self._deliver(message, trace, expect)
-            self.channel.send(self.context.request_message(format_id))
-            self._parked.append((message, trace))
+                if kind == KIND_DATA or kind == KIND_BATCH:
+                    if not self._resolvable(format_id):
+                        self.channel.send(self.context.request_message(format_id))
+                        parked.append((format_id, message))
+                        continue
+                    if parked:
+                        # An earlier record is still stalled; keep order.
+                        parked.append((format_id, message))
+                        continue
+            record = receiver.feed(message, expect)
+            if record is not None:
+                return record
 
-    def _deliver(self, message, trace, expect) -> DecodedRecord:
-        """Decode one data or batch message; batches queue their tail."""
-        kind, _, _, _, _ = IOContext.parse_header(message)
-        self.last_trace = trace
-        if kind != KIND_BATCH:
-            return self.context.decode(message, expect=expect)
-        batch = self.context.decode_batch(message)
-        self.batches_received += 1
-        records = [
-            DecodedRecord(
-                format_name=batch.format_name,
-                values=values,
-                wire_format=batch.wire_format,
-            )
-            for values in batch.records
-        ]
-        self._ready.extend(records[1:])
-        return records[0]
-
-    def _try_server(self, format_id: bytes) -> bool:
+    def _resolvable(self, format_id: bytes) -> bool:
         try:
-            self.context.wire_format(format_id)
+            self.context.wire_format(format_id)  # learned, or on the format server
             return True
         except DecodeError:
             return False
 
     def _answer_request(self, format_id: bytes) -> None:
-        fmt = self._by_id(format_id)
+        fmt = self.context.registered_format(format_id)
         if fmt is None:
             raise TransportError(
                 f"peer requested format {format_id.hex()}, which this "
                 f"endpoint has not registered"
             )
-        message = self.context.format_message(fmt)
-        self.channel.send(message)
-        self.metadata_bytes += len(message)
-        self.metadata_messages += 1
-
-    def _by_id(self, format_id: bytes) -> IOFormat | None:
-        for name in self.context.format_names():
-            fmt = self.context.lookup_format(name)
-            if fmt.format_id == format_id:
-                return fmt
-        return None
+        self._push(self.context.format_message(fmt))
 
     # -- service loop -----------------------------------------------------------
 
@@ -213,19 +184,20 @@ class RecordConnection:
         """Handle exactly one protocol (non-data) message, if present.
 
         Returns True if a message was handled, False on timeout.  Lets a
-        sender endpoint answer format requests without a full recv loop.
+        sender endpoint answer format requests without a full recv loop;
+        a data message that arrives instead is parked for :meth:`recv`.
         """
         try:
-            message, trace = extract(self.channel.recv(timeout))
+            message = self.channel.recv(timeout)
         except TransportError:
             return False
-        kind, _, _, length, format_id = IOContext.parse_header(message)
-        if kind == KIND_FORMAT:
-            self.context.learn_format(message[HEADER_SIZE : HEADER_SIZE + length])
-        elif kind == KIND_REQUEST:
+        kind, _, _, _, format_id = self.context.parse_header(message)
+        if kind == KIND_REQUEST:
             self._answer_request(format_id)
+        elif kind == KIND_DATA or kind == KIND_BATCH:
+            self._parked.append((format_id, message))
         else:
-            self._parked.append((message, trace))
+            self._receiver.feed(message)
         return True
 
     def close(self) -> None:

@@ -9,8 +9,10 @@ surface.  These tests walk the installed package and assert it:
 - the exception hierarchy stays rooted at :class:`ReproError`.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -153,3 +155,55 @@ class TestNoCodecSwitches:
     def test_bulk_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.pbio.bulk")
+
+
+class TestOneProtocolCore:
+    """PROTOCOL §5–§7 are implemented once, and without I/O."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+    CORES = ("pbio/stream.py", "events/protocol.py")
+    FORBIDDEN = (
+        "socket", "select", "selectors", "threading", "asyncio", "time", "os",
+        "repro.transport", "repro.aio",
+    )
+
+    @classmethod
+    def _sources(cls):
+        for path in sorted(cls.SRC.rglob("*.py")):
+            yield path.relative_to(cls.SRC).as_posix(), path.read_text()
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_core_modules_import_no_io(self, core):
+        imported = set()
+        for node in ast.walk(ast.parse((self.SRC / core).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "core modules use absolute imports"
+                imported.add(node.module)
+        offenders = [
+            name for name in imported
+            if any(name == bad or name.startswith(bad + ".") for bad in self.FORBIDDEN)
+        ]
+        assert not offenders, offenders
+
+    def test_announce_once_state_lives_in_one_class(self):
+        owners = [
+            f"{name}:{node.name}"
+            for name, text in self._sources()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            for target in ast.walk(node)
+            if isinstance(target, ast.Attribute)
+            and target.attr == "_announced"
+            and isinstance(target.ctx, ast.Store)
+        ]
+        assert owners == ["pbio/stream.py:RecordSender"]
+
+    def test_metadata_kind_is_known_in_three_modules(self):
+        users = {name for name, text in self._sources() if "KIND_FORMAT" in text}
+        assert users == {"pbio/context.py", "pbio/stream.py", "events/backbone.py"}
+
+    def test_envelopes_are_unpacked_only_by_the_protocol_module(self):
+        callers = {name for name, text in self._sources() if "unpack_envelope(" in text}
+        assert callers == {"events/protocol.py"}
