@@ -21,7 +21,7 @@ Concurrency model (see docs/PROTOCOL.md §10):
   to ``high_water``; every flush awaits ``drain()``, so a producer
   outrunning a slow peer suspends instead of buffering without bound.
 
-Unlike the sync channel, a recv timeout here can never poison the
+As on the sync channel, a recv timeout can never desynchronize the
 stream: asyncio's ``StreamReader`` only consumes bytes once a full read
 is satisfied, so a cancelled mid-frame read leaves every byte buffered
 and the next ``recv`` resumes cleanly.  :attr:`AsyncTCPChannel.poisoned`
@@ -279,8 +279,8 @@ class AsyncTCPChannel(AsyncChannel):
         try:
             message = await asyncio.wait_for(self._recv_one(), timeout)
         except asyncio.TimeoutError as exc:
-            # StreamReader buffers partial frames, so unlike the sync
-            # channel a timeout never desynchronizes the stream.
+            # StreamReader buffers partial frames, so a timeout never
+            # desynchronizes the stream.
             raise TransportTimeoutError(f"recv timed out after {timeout}s") from exc
         if handles is not None:
             handles.recv_seconds.observe(perf_counter() - started)

@@ -74,6 +74,18 @@ class DecodeError(PBIOError):
     """A wire buffer could not be decoded (truncation, unknown format...)."""
 
 
+class UnknownFormatError(DecodeError):
+    """No metadata is known for a wire format id.
+
+    Carries the ``format_id`` so a receiver that has a peer can ask it
+    for the metadata (pull on miss) instead of failing.
+    """
+
+    def __init__(self, message: str, format_id: bytes) -> None:
+        super().__init__(message)
+        self.format_id = format_id
+
+
 class ConversionError(PBIOError):
     """No conversion exists between a wire format and a native format."""
 
@@ -94,9 +106,9 @@ class TransportTimeoutError(TransportError):
     """A channel operation exceeded its deadline.
 
     ``mid_frame`` is True when the timeout struck after part of a frame
-    had already been consumed, leaving the byte stream desynchronized:
-    the channel is then poisoned and refuses further reads rather than
-    decoding garbage.
+    had arrived.  The partial frame stays buffered and the next ``recv``
+    resumes it, so the flag is informational: the peer is mid-send, not
+    idle.
     """
 
     def __init__(self, message: str, *, mid_frame: bool = False) -> None:

@@ -134,9 +134,7 @@ class BrokerServer:
                     message = channel.recv(timeout=0.5)
                 except ChannelClosedError:
                     break
-                except TransportError as exc:
-                    if getattr(exc, "mid_frame", False):
-                        break  # stream desynchronized: drop the connection
+                except TransportError:
                     continue  # recv timeout: poll the stop flag
                 reply = session.feed(message)
                 if reply is not None:

@@ -18,7 +18,7 @@ on demand.  This package provides them, reproducibly:
 
 The resilience layers under test: retry + circuit breaker +
 stale-while-revalidate in :mod:`repro.metaserver.client`, source health
-tracking in :mod:`repro.core.discovery`, poisoning and bounded
+tracking in :mod:`repro.core.discovery`, resumable timeouts and bounded
 reconnect in :mod:`repro.transport.tcp`.
 """
 

@@ -107,6 +107,9 @@ class ChannelHandles:
     recv_frames: object
     recv_bytes: object
     recv_seconds: object
+    #: Socket reads behind ``recv_frames``: frames per read is the share
+    #: of receives a read-ahead buffer served without a syscall.
+    recv_reads: object
 
 
 _channel_cache: "weakref.WeakKeyDictionary[Registry, dict[str, ChannelHandles]]" = (
@@ -140,6 +143,10 @@ def channel_handles(registry: Registry, plane: str) -> ChannelHandles:
             recv_frames=frames.labels(plane, "recv"),
             recv_bytes=volume.labels(plane, "recv"),
             recv_seconds=latency.labels(plane, "recv"),
+            recv_reads=registry.counter(
+                "transport_recv_reads_total",
+                "socket reads made to receive frames", ("plane",),
+            ).labels(plane),
         )
         per_registry[plane] = handles
     return handles

@@ -33,7 +33,7 @@ from time import perf_counter
 
 from repro.arch.model import ArchitectureModel
 from repro.arch.registry import NATIVE
-from repro.errors import DecodeError, FormatRegistrationError
+from repro.errors import DecodeError, FormatRegistrationError, UnknownFormatError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
 from repro.pbio.decode import DEFAULT_CONVERTER_CAPACITY, ConverterCache
@@ -242,9 +242,10 @@ class IOContext:
             fmt = self._format_server.resolve(format_id)
             self._wire_formats[format_id] = fmt
             return fmt
-        raise DecodeError(
+        raise UnknownFormatError(
             f"unknown format id {format_id.hex()}; no metadata received and "
-            f"no format server attached"
+            f"no format server attached",
+            format_id,
         )
 
     # -- messages ----------------------------------------------------------------

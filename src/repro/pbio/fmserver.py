@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import DecodeError
+from repro.errors import UnknownFormatError
 from repro.pbio.format import IOFormat
 from repro.pbio.lru import BoundedLRU
 
@@ -66,7 +66,7 @@ class FormatServer:
         resolutions of one hot format parses it once, not per call.  The
         cache entry is invalidated when the id is re-registered.
 
-        Raises :class:`~repro.errors.DecodeError` if the id is unknown —
+        Raises :class:`~repro.errors.UnknownFormatError` if the id is unknown —
         callers decide whether to fall back to in-band resolution.
         """
         fmt = self._decoded.get(format_id)
@@ -75,7 +75,9 @@ class FormatServer:
         with self._lock:
             metadata = self._metadata.get(format_id)
         if metadata is None:
-            raise DecodeError(f"format server has no format {format_id.hex()}")
+            raise UnknownFormatError(
+                f"format server has no format {format_id.hex()}", format_id
+            )
         fmt = IOFormat.from_wire_metadata(metadata)
         self._decoded.put(format_id, fmt)
         return fmt
@@ -85,7 +87,9 @@ class FormatServer:
         with self._lock:
             metadata = self._metadata.get(format_id)
         if metadata is None:
-            raise DecodeError(f"format server has no format {format_id.hex()}")
+            raise UnknownFormatError(
+                f"format server has no format {format_id.hex()}", format_id
+            )
         return metadata
 
     def known_ids(self) -> list[bytes]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import DecodeError, TransportError
+from repro.errors import DecodeError, TransportError, UnknownFormatError
 from repro.obs.trace import TraceContext
 from repro.pbio.context import (
     KIND_BATCH,
@@ -133,40 +133,69 @@ class RecordConnection:
         batch is returned by one ``recv`` call, in batch order.
         """
         receiver = self._receiver
+        ready = receiver.ready
         parked = self._parked
         while True:
             # Records left over from an already-delivered batch come
             # first — they predate anything still on the wire.
-            if receiver.ready:
-                return receiver.ready.popleft()
-            if parked and self._resolvable(parked[0][0]):
-                # The oldest parked message became decodable: deliver it
-                # first, preserving FIFO order across the stall.
-                message = parked.popleft()[1]
+            if ready:
+                return ready.popleft()
+            if parked:
+                message = self._next_while_stalled(timeout)
+                if message is None:
+                    continue
             else:
                 message = self.channel.recv(timeout)
-                kind, _, _, _, format_id = self.context.parse_header(message)
-                if kind == KIND_REQUEST:
-                    self._answer_request(format_id)
-                    continue
-                if kind == KIND_DATA or kind == KIND_BATCH:
-                    if not self._resolvable(format_id):
-                        self.channel.send(self.context.request_message(format_id))
-                        parked.append((format_id, message))
-                        continue
-                    if parked:
-                        # An earlier record is still stalled; keep order.
-                        parked.append((format_id, message))
-                        continue
-            record = receiver.feed(message, expect)
+            try:
+                record = receiver.feed(message, expect)
+            except UnknownFormatError as miss:
+                self._park(miss.format_id, message)
+                continue
+            except DecodeError:
+                # Not a record-stream message; a connection, unlike a
+                # file, has a peer that may be asking for metadata.
+                kind, format_id = self._kind_and_id(message)
+                if kind != KIND_REQUEST:
+                    raise
+                self._answer_request(format_id)
+                continue
             if record is not None:
                 return record
+
+    def _next_while_stalled(self, timeout: float | None):
+        """The next message to feed while records are parked, or None.
+
+        The oldest parked message, once decodable, goes first (FIFO
+        order across the stall); data arriving meanwhile queues behind
+        it, metadata and requests are fed straight away.
+        """
+        parked = self._parked
+        if self._resolvable(parked[0][0]):
+            return parked.popleft()[1]
+        message = self.channel.recv(timeout)
+        kind, format_id = self._kind_and_id(message)
+        if kind != KIND_DATA and kind != KIND_BATCH:
+            return message
+        if self._resolvable(format_id):
+            parked.append((format_id, message))
+        else:
+            self._park(format_id, message)
+        return None
+
+    def _park(self, format_id: bytes, message) -> None:
+        """Pull on miss: ask the peer for ``format_id``, hold ``message``."""
+        self.channel.send(self.context.request_message(format_id))
+        self._parked.append((format_id, message))
+
+    def _kind_and_id(self, message) -> tuple[int, bytes]:
+        kind, _, _, _, format_id = self.context.parse_header(message)
+        return kind, format_id
 
     def _resolvable(self, format_id: bytes) -> bool:
         try:
             self.context.wire_format(format_id)  # learned, or on the format server
             return True
-        except DecodeError:
+        except UnknownFormatError:
             return False
 
     def _answer_request(self, format_id: bytes) -> None:
@@ -191,7 +220,7 @@ class RecordConnection:
             message = self.channel.recv(timeout)
         except TransportError:
             return False
-        kind, _, _, _, format_id = self.context.parse_header(message)
+        kind, format_id = self._kind_and_id(message)
         if kind == KIND_REQUEST:
             self._answer_request(format_id)
         elif kind == KIND_DATA or kind == KIND_BATCH:

@@ -1,15 +1,15 @@
 """TCP transport: real sockets with the shared message framing.
 
-Failure semantics of :class:`TCPChannel.recv`:
+The receive side reads ahead: one ``recv_into`` takes whatever the
+socket holds into the channel's :class:`~repro.wire.framing.ReceiveBuffer`,
+and a ``recv`` that finds a whole frame already buffered returns it
+without a syscall or a timeout change.
 
-- a timeout *before any frame byte arrived* raises
-  :class:`~repro.errors.TransportTimeoutError` and the channel stays
-  usable — the stream is still at a frame boundary;
-- a timeout *mid-frame* leaves unread frame bytes on the socket, so any
-  further read would decode garbage from the middle of a message.  The
-  channel marks itself **poisoned**, raises ``TransportTimeoutError``
-  with ``mid_frame=True``, and refuses subsequent ``recv`` calls rather
-  than desynchronizing.
+A :class:`TCPChannel.recv` timeout raises
+:class:`~repro.errors.TransportTimeoutError` and always leaves the
+channel usable: bytes of a frame that arrived before the deadline stay
+buffered (the error then carries ``mid_frame=True``) and the next
+``recv`` resumes that frame.
 
 :class:`ReconnectingTCPChannel` layers bounded reconnect-on-failure on
 top: a sink (publisher, broker client) survives a broken connection by
@@ -28,7 +28,6 @@ from repro.errors import (
     ChannelClosedError,
     TransportError,
     TransportTimeoutError,
-    WireError,
 )
 from repro.obs.instr import channel_handles
 from repro.obs.metrics import get_registry
@@ -103,26 +102,25 @@ class TCPChannel(Channel):
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._closed = False
-        self._poisoned = False
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._rbuf = ReceiveBuffer(get_pool())
         self._debug_view: memoryview | None = None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def _sendall_vectored(self, buffers) -> None:
+    def _sendall_vectored(self, buffers, sent: int = 0) -> None:
         """Put every buffer on the wire via scatter-gather ``sendmsg``.
 
-        Handles partial sends by advancing through the iov list; falls
-        back to a joined ``sendall`` where ``sendmsg`` is unavailable.
-        Caller holds the send lock.
+        The first ``sent`` bytes are already out.  Handles partial sends
+        by advancing through the iov list; falls back to a joined
+        ``sendall`` where ``sendmsg`` is unavailable.  Caller holds the
+        send lock.
         """
         if not _HAS_SENDMSG:
             self._sock.sendall(b"".join(buffers))
             return
         iov = [memoryview(buffer) for buffer in buffers if len(buffer)]
-        while iov:
-            sent = self._sock.sendmsg(iov[:_IOV_MAX])
+        while True:
             while sent:
                 head = iov[0]
                 if sent >= len(head):
@@ -131,6 +129,9 @@ class TCPChannel(Channel):
                 else:
                     iov[0] = head[sent:]
                     sent = 0
+            if not iov:
+                return
+            sent = self._sock.sendmsg(iov[:_IOV_MAX])
 
     def send(self, message: bytes) -> None:
         if self._closed:
@@ -140,7 +141,11 @@ class TCPChannel(Channel):
         started = time.perf_counter() if handles is not None else 0.0
         try:
             with self._send_lock:
-                self._sendall_vectored((header, payload))
+                # One sendmsg carries the whole frame unless the socket
+                # buffer is full; only a short write pays the iov walk.
+                sent = self._sock.sendmsg((header, payload)) if _HAS_SENDMSG else 0
+                if sent < len(header) + len(payload):
+                    self._sendall_vectored((header, payload), sent)
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise ChannelClosedError(f"peer closed the connection: {exc}") from exc
         except OSError as exc:
@@ -224,9 +229,9 @@ class TCPChannel(Channel):
         this channel (or its close) overwrites or recycles the buffer
         under it — decode or ``bytes()`` it before reading again
         (PROTOCOL §12).  Holding a view across the next receive is a
-        contract violation that normally fails *silently* (the bytes
-        become whatever arrived next, or whatever another pooled channel
-        wrote into the recycled buffer); with
+        contract violation that normally fails *silently* (what it reads
+        is unspecified: the old bytes, a later frame, or whatever another
+        pooled channel wrote into the recycled buffer); with
         :func:`set_recv_view_debug` enabled, the next receive revokes
         the stale view so any later access raises ``ValueError``.
         Intended for single-reader consumers; with competing readers,
@@ -259,7 +264,9 @@ class TCPChannel(Channel):
             debug = _view_debug[0]
             if debug:
                 self._invalidate_debug_view()
-            view = self._recv_locked(timeout)
+            view = self._rbuf.next_frame()
+            if view is None:
+                view = self._read_frame(timeout, handles)
             message = bytes(view) if copy else view
             if debug and not copy:
                 self._debug_view = view
@@ -271,51 +278,46 @@ class TCPChannel(Channel):
             handles.recv_bytes.inc(len(message))
         return message
 
-    def _recv_locked(self, timeout: float | None) -> memoryview:
-        if self._poisoned:
-            raise TransportError(
-                "channel poisoned by an earlier mid-frame timeout; "
-                "the byte stream is desynchronized — close and reconnect"
-            )
-        consumed = 0
+    def _read_frame(self, timeout: float | None, handles) -> memoryview:
+        """The syscall path: no whole frame is buffered, so read for one.
 
-        def tracking_recv_into(view: memoryview) -> int:
-            nonlocal consumed
-            count = self._sock.recv_into(view)
-            consumed += count
-            return count
-
-        prior_timeout = self._sock.gettimeout()
-        self._sock.settimeout(timeout)
+        Caller holds the recv lock.  The deadline applies to each read.
+        """
+        sock, rbuf = self._sock, self._rbuf
+        reads = rbuf.reads
+        prior_timeout = sock.gettimeout()
+        sock.settimeout(timeout)
         try:
-            return read_frame_into(tracking_recv_into, self._rbuf)
+            return read_frame_into(sock.recv_into, rbuf)
         except socket.timeout as exc:
-            if consumed:
-                self._poisoned = True
+            if rbuf.pending:
                 raise TransportTimeoutError(
-                    f"recv timed out after {timeout}s with {consumed} frame "
-                    "byte(s) consumed; channel poisoned",
+                    f"recv timed out after {timeout}s with {rbuf.pending} "
+                    "byte(s) of a frame buffered; the next recv resumes it",
                     mid_frame=True,
                 ) from exc
             raise TransportTimeoutError(f"recv timed out after {timeout}s") from exc
         except ConnectionResetError as exc:
             raise ChannelClosedError(f"connection reset: {exc}") from exc
-        except WireError:
-            raise
         except OSError as exc:
             raise TransportError(f"recv failed: {exc}") from exc
         finally:
             # settimeout must not leak: interleaved timed/untimed calls
             # (and sends on the same socket) see the prior deadline.
             try:
-                self._sock.settimeout(prior_timeout)
+                sock.settimeout(prior_timeout)
             except OSError:
                 pass
+            if handles is not None:
+                handles.recv_reads.inc(rbuf.reads - reads)
 
     @property
     def poisoned(self) -> bool:
-        """True once a mid-frame timeout desynchronized the inbound stream."""
-        return self._poisoned
+        """Always False: a partial frame stays buffered across a timeout.
+
+        Kept for parity with ``AsyncTCPChannel.poisoned``.
+        """
+        return False
 
     def close(self) -> None:
         if not self._closed:
@@ -417,9 +419,9 @@ class ReconnectingTCPChannel(Channel):
     """A channel that redials its peer on connection failure, with a budget.
 
     Wraps the dial itself: construction connects immediately; a
-    :class:`~repro.errors.ChannelClosedError` (or a poisoned stream)
-    during ``send``/``recv`` triggers up to ``max_reconnects`` redial
-    attempts per operation, with exponential backoff between them.
+    :class:`~repro.errors.ChannelClosedError` during ``send``/``recv``
+    triggers up to ``max_reconnects`` redial attempts per operation,
+    with exponential backoff between them.
     Messages in flight when the connection broke are *not* replayed —
     at-most-once, like the underlying socket; timeouts propagate as-is
     (the connection is still healthy, the peer is just quiet).
@@ -468,8 +470,6 @@ class ReconnectingTCPChannel(Channel):
             if self._closed:
                 raise ChannelClosedError("cannot use a closed channel")
             try:
-                if self._channel.poisoned:
-                    raise ChannelClosedError("inbound stream poisoned")
                 return operation(self._channel)
             except TransportTimeoutError:
                 raise  # peer is slow, not gone: no redial

@@ -4,33 +4,35 @@ Every wire format in this repo is message-oriented; TCP and the in-process
 pipe are byte streams.  Frames bridge the two: a big-endian u32 length
 followed by the message bytes.
 
-Three consumption styles are provided:
+Reading is one core, :class:`ReceiveBuffer` — a contiguous read-ahead
+buffer that hands out complete frames as views — with two consumption
+styles over it:
 
-- blocking, copying: :func:`read_frame` over a file-like/socket-like
-  ``recv`` callable;
-- blocking, zero-copy: :func:`read_frame_into` over a ``recv_into``
-  callable and a :class:`ReceiveBuffer`, yielding a ``memoryview`` of
-  the message without intermediate chunk allocations;
-- incremental: :class:`FrameDecoder`, fed arbitrary chunks, yielding
-  complete messages — the style a non-blocking event loop needs.
+- pull: :func:`read_frame_into` over a ``recv_into`` callable; one read
+  takes whatever the stream holds, and frames already buffered are
+  returned without touching the stream (what ``TCPChannel`` runs);
+- push: :class:`FrameDecoder`, fed arbitrary chunks, yielding complete
+  messages — the style a non-blocking event loop needs.
+
+:func:`read_frame` is the copying reader for sources that buffer
+themselves (PBIO files): exactly one frame per call, nothing read past
+it.
 
 On the send side, :func:`frame_iov` produces the (header, payload) pair
 for scatter-gather writes (``socket.sendmsg``, ``writelines``) so the
 payload is never copied into a concatenated frame.
 
 Buffer ownership (the zero-copy contract, PROTOCOL §12): a
-``memoryview`` returned by :func:`read_frame_into` aliases the
-:class:`ReceiveBuffer` and is valid only until the next read into the
-same buffer; a view yielded by a ``copy=False`` :class:`FrameDecoder`
-aliases a fed chunk and stays valid as long as the consumer holds it,
-provided the feeder does not mutate the chunk it fed.  Consumers that
-need a message beyond that window must ``bytes()`` it.
+``memoryview`` returned by :func:`read_frame_into` or yielded by a
+``copy=False`` :class:`FrameDecoder` aliases the :class:`ReceiveBuffer`
+and is valid only until the next read or feed into the same buffer;
+what a stale view shows after that is unspecified.  Consumers that need
+a message beyond that window must ``bytes()`` it.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import Callable, Iterator
 
 from repro.errors import ChannelClosedError, WireError
@@ -41,6 +43,11 @@ _LENGTH = struct.Struct(">I")
 #: (a length prefix of e.g. 0xFFFFFFFF from a desynchronized stream must
 #: not trigger a 4 GiB allocation).
 MAX_FRAME_SIZE = 256 * 1024 * 1024
+
+#: How far :class:`ReceiveBuffer` reads past the frame in progress: one
+#: read offers at most this many bytes, and a buffer that reads keep
+#: filling doubles up to it.
+READ_AHEAD_MAX = 64 * 1024
 
 
 def frame(message: bytes) -> bytes:
@@ -140,60 +147,136 @@ def _read_exactly(recv: Callable[[int], bytes], needed: int, *, at_boundary: boo
 
 
 class ReceiveBuffer:
-    """A reusable, growable receive buffer, optionally pool-backed.
+    """The one incremental frame reader: a contiguous read-ahead buffer.
 
-    One lives on each channel that reads zero-copy: the frame body is
-    received directly into it (``recv_into``) and handed to the caller
-    as a ``memoryview``.  The buffer grows to fit the largest frame seen
-    (swapping through the :class:`~repro.wire.bufpool.BufferPool` when
-    one is attached) and is otherwise reused verbatim — steady state
-    allocates nothing.
+    Bytes enter at the tail — :meth:`fill` takes whatever one
+    ``recv_into`` yields, :meth:`feed` copies a chunk — and complete
+    frames leave at the head as views (:meth:`next_frame`), with no
+    copy and no further read while a whole frame is already buffered.
+    Pending bytes are moved only when the tail cannot hold the frame in
+    progress: to the front of the same buffer if that makes room, else
+    into a larger one (swapped through the
+    :class:`~repro.wire.bufpool.BufferPool` when one is attached).  A
+    buffer a read filled to the brim doubles, up to
+    :data:`READ_AHEAD_MAX`; a frame larger than that is read exactly to
+    its end, so the frame after it never has to be moved.
     """
 
-    __slots__ = ("_pool", "_data", "_initial", "header")
+    __slots__ = ("_pool", "_data", "_view", "_initial", "_head", "_tail", "reads")
 
     def __init__(self, pool=None, *, initial: int = 4096) -> None:
         self._pool = pool
-        self._data: bytearray | None = None
+        self._data = bytearray()
+        self._view = memoryview(self._data)
         self._initial = initial
-        #: 4-byte scratch for the length prefix, reused per frame.
-        self.header = memoryview(bytearray(_LENGTH.size))
+        self._head = 0  # first unconsumed byte
+        self._tail = 0  # end of the buffered bytes
+        #: ``recv_into`` calls made by :meth:`fill` so far.
+        self.reads = 0
 
-    def reserve(self, size: int) -> memoryview:
-        """A writable view of exactly ``size`` bytes, growing if needed.
+    def next_frame(self) -> memoryview | None:
+        """Consume the frame at the head, if all of it is buffered.
 
-        Growing invalidates (overwrites do too) any previously returned
-        view — see the ownership contract in the module docstring.
+        The view aliases the buffer and is valid until the next
+        :meth:`fill` or :meth:`feed`.  A length prefix above
+        :data:`MAX_FRAME_SIZE` raises :class:`~repro.errors.WireError`
+        and consumes nothing.
         """
-        data = self._data
-        if data is None or len(data) < size:
-            if data is not None and self._pool is not None:
-                self._pool.release(data)
-            wanted = max(size, self._initial)
-            data = (
+        start = self._head + _LENGTH.size
+        if start > self._tail:
+            return None
+        (length,) = _LENGTH.unpack_from(self._data, self._head)
+        if length > MAX_FRAME_SIZE:
+            raise WireError(f"frame length {length} exceeds limit")
+        end = start + length
+        if end > self._tail:
+            return None
+        self._head = end
+        return self._view[start:end]
+
+    def fill(self, recv_into: Callable[[memoryview], int]) -> int:
+        """One ``recv_into`` at the tail; returns its count (0 is EOF).
+
+        For use after :meth:`next_frame` returned None (which vetted the
+        length prefix, if one is buffered).
+        """
+        pending = self._tail - self._head
+        capacity = len(self._data)
+        needed = _LENGTH.size
+        if pending >= needed:
+            needed += _LENGTH.unpack_from(self._data, self._head)[0]
+        # A buffer the last read filled to the brim doubles.
+        filled = self._tail == capacity < READ_AHEAD_MAX
+        self._make_room(needed, 2 * capacity if filled else 0)
+        tail = self._tail
+        if needed > READ_AHEAD_MAX:
+            limit = self._head + needed
+        else:
+            limit = min(len(self._data), tail + READ_AHEAD_MAX)
+        count = recv_into(self._view[tail:limit])
+        self.reads += 1
+        self._tail = tail + count
+        return count
+
+    def feed(self, chunk) -> None:
+        """Copy ``chunk`` (any bytes-like object) in at the tail."""
+        size = len(chunk)
+        if size:
+            self._make_room(self._tail - self._head + size)
+            tail = self._tail
+            self._view[tail : tail + size] = chunk
+            self._tail = tail + size
+
+    def _make_room(self, needed: int, wanted: int = 0) -> None:
+        """Make ``needed`` bytes fit from the head on, in a buffer of at
+        least ``wanted`` bytes; pending bytes keep their order."""
+        head = self._head
+        capacity = len(self._data)
+        wanted = max(wanted, needed, self._initial)
+        if head == self._tail:
+            head = self._head = self._tail = 0  # drained: rewind for free
+        if head + needed <= capacity and wanted <= capacity:
+            return
+        pending = self._tail - head
+        stale = self._view[head : self._tail]
+        outgrown = None
+        if wanted > capacity:
+            outgrown = self._data
+            self._data = (
                 self._pool.acquire(wanted)
                 if self._pool is not None
-                else bytearray(wanted)
+                else bytearray(max(wanted, 2 * capacity))
             )
-            self._data = data
-        return memoryview(data)[:size]
+            self._view = memoryview(self._data)
+        self._view[:pending] = stale  # a memmove when it is one buffer
+        if outgrown is not None and self._pool is not None:
+            self._pool.release(outgrown)
+        self._head = 0
+        self._tail = pending
+
+    @property
+    def pending(self) -> int:
+        """Bytes buffered but not yet handed out as a frame."""
+        return self._tail - self._head
 
     @property
     def capacity(self) -> int:
         """Bytes currently backing this buffer (0 before first use)."""
-        return 0 if self._data is None else len(self._data)
+        return len(self._data)
 
     def close(self) -> None:
         """Return the backing buffer to the pool; idempotent."""
-        if self._data is not None and self._pool is not None:
+        if self._pool is not None:
             self._pool.release(self._data)
-        self._data = None
+        self._data = bytearray()
+        self._view = memoryview(self._data)
+        self._head = self._tail = 0
 
 
 def read_frame_into(
     recv_into: Callable[[memoryview], int], buffer: ReceiveBuffer
 ) -> memoryview:
-    """Read exactly one frame into ``buffer``; returns the message view.
+    """The next frame from ``buffer``, reading only if it holds none.
 
     ``recv_into(view)`` fills some prefix of ``view`` and returns the
     byte count (0 for EOF) — ``socket.recv_into`` semantics.  The
@@ -202,135 +285,45 @@ def read_frame_into(
 
     EOF raises :class:`~repro.errors.ChannelClosedError` at a frame
     boundary and :class:`~repro.errors.WireError` mid-frame, exactly
-    like :func:`read_frame`.
+    like :func:`read_frame`.  An exception out of ``recv_into`` (a
+    timeout) leaves every byte read so far buffered: the next call
+    resumes the same frame.
     """
-    header = buffer.header
-    _fill_exactly(recv_into, header, at_boundary=True)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_SIZE:
-        raise WireError(f"frame length {length} exceeds limit")
-    body = buffer.reserve(length)
-    _fill_exactly(recv_into, body, at_boundary=False)
-    return body
-
-
-def _fill_exactly(
-    recv_into: Callable[[memoryview], int], view: memoryview, *, at_boundary: bool
-) -> None:
-    total = len(view)
-    filled = 0
-    while filled < total:
-        count = recv_into(view[filled:] if filled else view)
-        if count == 0:
-            if at_boundary and filled == 0:
-                raise ChannelClosedError("peer closed the stream")
-            raise WireError("stream ended mid-frame")
-        filled += count
+    while True:
+        message = buffer.next_frame()
+        if message is not None:
+            return message
+        if not buffer.fill(recv_into):
+            if buffer.pending:
+                raise WireError("stream ended mid-frame")
+            raise ChannelClosedError("peer closed the stream")
 
 
 class FrameDecoder:
     """Incremental frame decoder: feed chunks, iterate complete messages.
 
-    By default each complete message is yielded as an owned ``bytes``
-    copy.  With ``copy=False`` a message that lies within a single fed
-    chunk is yielded as a **zero-copy memoryview of that chunk** (only
-    messages spanning a chunk boundary are assembled); the feeder must
-    then not mutate a fed ``bytearray`` until the views taken from it
-    are dropped (``bytes`` chunks are immutable and always safe).
+    The push front of :class:`ReceiveBuffer`: :meth:`feed` copies the
+    chunk in, so the caller may reuse its read buffer at once.  By
+    default each message is yielded as an owned ``bytes`` copy; with
+    ``copy=False`` it is a **view of the decoder's buffer**, valid until
+    the next :meth:`feed`.
     """
 
     def __init__(self, *, copy: bool = True) -> None:
-        self._chunks: deque[memoryview] = deque()
-        self._offset = 0  # consumed bytes of the head chunk
-        self._size = 0  # total unconsumed bytes
+        self._buffer = ReceiveBuffer()
         self._copy = copy
 
     def feed(self, chunk) -> None:
         """Append raw stream bytes (any bytes-like object)."""
-        if not len(chunk):
-            return
-        if self._copy and not isinstance(chunk, bytes):
-            # Copy-mode keeps the pre-zero-copy contract: the caller may
-            # reuse a mutable chunk buffer immediately after feeding.
-            chunk = bytes(chunk)
-        self._chunks.append(memoryview(chunk))
-        self._size += len(chunk)
+        self._buffer.feed(chunk)
 
     def messages(self) -> Iterator[bytes]:
         """Yield every complete message currently buffered."""
-        while True:
-            if self._size < _LENGTH.size:
-                return
-            length = self._peek_length()
-            if length > MAX_FRAME_SIZE:
-                raise WireError(f"frame length {length} exceeds limit")
-            if self._size < _LENGTH.size + length:
-                return
-            self._skip(_LENGTH.size)
-            message = self._take(length)
+        next_frame = self._buffer.next_frame
+        while (message := next_frame()) is not None:
             yield bytes(message) if self._copy else message
-
-    # -- chunk-list plumbing -------------------------------------------------
-
-    def _peek_length(self) -> int:
-        """The head frame's length prefix, without consuming it."""
-        head = self._chunks[0]
-        if len(head) - self._offset >= _LENGTH.size:
-            return _LENGTH.unpack_from(head, self._offset)[0]
-        scratch = bytearray(_LENGTH.size)
-        position = 0
-        offset = self._offset
-        for chunk in self._chunks:
-            take = min(_LENGTH.size - position, len(chunk) - offset)
-            scratch[position : position + take] = chunk[offset : offset + take]
-            position += take
-            offset = 0
-            if position == _LENGTH.size:
-                break
-        return _LENGTH.unpack(scratch)[0]
-
-    def _skip(self, count: int) -> None:
-        self._size -= count
-        while count:
-            head = self._chunks[0]
-            available = len(head) - self._offset
-            if available > count:
-                self._offset += count
-                return
-            count -= available
-            self._chunks.popleft()
-            self._offset = 0
-
-    def _take(self, count: int) -> memoryview:
-        """Consume ``count`` bytes: a sub-view when contiguous, else joined."""
-        if count == 0:
-            return memoryview(b"")
-        head = self._chunks[0]
-        if len(head) - self._offset >= count:
-            view = head[self._offset : self._offset + count]
-            self._offset += count
-            self._size -= count
-            if self._offset == len(head):
-                self._chunks.popleft()
-                self._offset = 0
-            return view
-        assembled = bytearray(count)
-        position = 0
-        while position < count:
-            head = self._chunks[0]
-            take = min(len(head) - self._offset, count - position)
-            assembled[position : position + take] = head[
-                self._offset : self._offset + take
-            ]
-            position += take
-            self._offset += take
-            if self._offset == len(head):
-                self._chunks.popleft()
-                self._offset = 0
-        self._size -= count
-        return memoryview(assembled)
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete message."""
-        return self._size
+        return self._buffer.pending

@@ -4,12 +4,17 @@ import asyncio
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro.arch import ALPHA, SPARC_32, SPARC_64, X86_32, X86_64
 from repro.obs import Registry, Tracer, set_registry, set_tracer, set_wire_tracing
 from repro.pbio import IOContext
 
 ALL_ARCHES = [X86_32, X86_64, SPARC_32, SPARC_64, ALPHA]
+
+# ``--hypothesis-profile=thorough``: CI's example count for property
+# tests that pin none themselves (tests/property/test_framing_readahead.py).
+settings.register_profile("thorough", max_examples=500, deadline=None)
 
 
 @pytest.fixture(params=ALL_ARCHES, ids=[a.name for a in ALL_ARCHES])

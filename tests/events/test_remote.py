@@ -1,5 +1,7 @@
 """Integration tests for the networked event backbone."""
 
+import time
+
 import pytest
 
 from repro.arch import SPARC_32, X86_32, X86_64
@@ -14,6 +16,8 @@ from repro.events.remote import (
     OP_SUBSCRIBE,
 )
 from repro.pbio import IOContext, IOField
+from repro.transport import connect
+from repro.wire import frame
 
 
 def track_fields(arch):
@@ -182,6 +186,37 @@ class TestBrokerLifecycle:
             time.sleep(0.02)
         assert broker.backbone.stats("s").subscribers == 0
         publisher_client.close()
+
+    def test_frame_straddling_the_stop_flag_poll_is_delivered(self, broker):
+        """A publisher whose frame takes longer than the reader's 0.5 s
+        poll to arrive stays connected: the partial frame waits in the
+        channel's buffer and the next recv resumes it."""
+        subscriber = make_client(broker, X86_64, register=False)
+        subscriber.subscribe("s")
+
+        class Captured:
+            envelopes = []
+            send = envelopes.append
+
+        publisher = RemoteBackboneClient(Captured, IOContext(SPARC_32))
+        publisher.context.register_format("track", track_fields(SPARC_32))
+        publisher.publisher("s").publish("track", {"flight": "SLOW", "alt": 1})
+        wire = b"".join(frame(envelope) for envelope in Captured.envelopes)
+        Captured.envelopes.clear()
+        publisher.publisher("s").publish("track", {"flight": "NEXT", "alt": 2})
+
+        raw = connect(*broker.address)
+        try:
+            raw._sock.sendall(wire[:-7])  # all but the tail of the event
+            time.sleep(0.8)  # the reader's recv(timeout=0.5) fires mid-frame
+            raw._sock.sendall(wire[-7:])
+            assert subscriber.next_event(timeout=5).values["flight"] == "SLOW"
+            for envelope in Captured.envelopes:
+                raw.send(envelope)
+            assert subscriber.next_event(timeout=5).values["flight"] == "NEXT"
+        finally:
+            raw.close()
+            subscriber.close()
 
     def test_double_start_rejected(self):
         broker = BrokerServer()

@@ -92,6 +92,61 @@ class TestConcurrentRecvs:
         # No frame lost, duplicated, or torn between readers.
         assert sorted(results) == list(range(total))
 
+    def test_competing_readers_over_read_ahead(self):
+        """Frames of every size class arrive while two readers compete
+        with short timeouts: each frame is delivered whole, exactly
+        once, wherever read-ahead left it in the buffer."""
+        import sys
+
+        sizes = [0, 1, 100, 4092, 5000, 70_000]
+        total = 600
+        expected = {
+            i: i.to_bytes(4, "big") + bytes([i % 251]) * sizes[i % len(sizes)]
+            for i in range(total)
+        }
+        results: dict[int, bytes] = {}
+        duplicates = []
+        results_lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with listen() as listener:
+                client, server = tcp_pair(listener)
+
+                def drain(take):
+                    while True:
+                        with results_lock:
+                            if len(results) + len(duplicates) >= total:
+                                return
+                        try:
+                            message = bytes(take(timeout=0.01))
+                        except TransportTimeoutError:
+                            continue
+                        index = int.from_bytes(message[:4], "big")
+                        with results_lock:
+                            if index in results:
+                                duplicates.append(index)
+                            results[index] = message
+
+                sender = threading.Thread(
+                    target=lambda: [client.send(expected[i]) for i in range(total)]
+                )
+                readers = [
+                    threading.Thread(target=drain, args=(server.recv,)),
+                    threading.Thread(target=drain, args=(server.recv,)),
+                ]
+                for thread in (sender, *readers):
+                    thread.start()
+                for thread in (sender, *readers):
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                client.close()
+                server.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not duplicates
+        assert results == expected
+
     def test_timed_recv_fails_fast_while_another_reader_blocks(self):
         import time
 

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.arch import SPARC_32, X86_64
-from repro.errors import TransportError
+from repro.errors import DecodeError, TransportError, UnknownFormatError
 from repro.pbio import FormatServer, IOContext, IOField
 from repro.transport import RecordConnection, make_pipe
 
@@ -111,6 +111,64 @@ class TestPullOnMiss:
         receiver.channel.send(bogus_request)
         with pytest.raises(TransportError, match="not registered"):
             sender.serve_protocol_once(timeout=5)
+
+
+class CountingContext:
+    """An IOContext proxy counting the calls the receive path makes."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = {"parse_header": 0, "wire_format": 0, "decode": 0}
+
+    def __getattr__(self, name):
+        member = getattr(self._inner, name)
+        if name not in self.calls:
+            return member
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return member(*args, **kwargs)
+
+        return counted
+
+
+class TestReceiveHappyPath:
+    def test_recv_is_channel_recv_feed_decode(self):
+        """No pre-parse, no pre-probe: the connection reaches the codec
+        only through ``feed`` -> ``decode``, once per record."""
+        a, b = make_pipe()
+        sender = RecordConnection(IOContext(SPARC_32), a)
+        counting = CountingContext(IOContext(X86_64))
+        receiver = RecordConnection(counting, b)
+        fmt = sender.context.register_format("point", point_fields())
+        for i in range(10):
+            sender.send(fmt, {"x": float(i), "y": 0.0})
+        assert [receiver.recv(timeout=5).values["x"] for i in range(10)] == [
+            float(i) for i in range(10)
+        ]
+        # 10 data messages and the pushed metadata, one parse each by
+        # the connection layer (decode's own parse is inside IOContext).
+        assert counting.calls == {"parse_header": 11, "wire_format": 0, "decode": 10}
+
+    def test_miss_is_typed_and_carries_the_format_id(self):
+        sender, receiver = connected_pair()
+        fmt = sender.context.register_format("point", point_fields())
+        raw = sender.context.encode(fmt, {"x": 1.0, "y": 2.0})
+        with pytest.raises(UnknownFormatError) as excinfo:
+            receiver.context.decode(raw)
+        assert excinfo.value.format_id == fmt.format_id
+        assert isinstance(excinfo.value, DecodeError)
+        with pytest.raises(UnknownFormatError):
+            FormatServer().resolve(fmt.format_id)
+
+    def test_undecodable_message_still_raises(self):
+        sender, receiver = connected_pair()
+        sender.channel.send(b"\x09" + b"\x01" + bytes(14))  # unknown kind 9
+        with pytest.raises(DecodeError, match="unexpected message kind 9"):
+            receiver.recv(timeout=5)
+        sender.channel.send(b"short")
+        with pytest.raises(DecodeError, match="shorter than"):
+            receiver.recv(timeout=5)
 
 
 class TestSharedFormatServer:

@@ -1,4 +1,4 @@
-"""TCP channel failure semantics: timeouts, poisoning, reconnects."""
+"""TCP channel failure semantics: timeouts, mid-frame resumption, reconnects."""
 
 import threading
 import time
@@ -45,6 +45,26 @@ class TestTimeoutHygiene:
         server.send(b"late")
         assert client.recv(timeout=5) == b"late"
 
+    def test_timeout_unchanged_by_mixed_recvs_sends(self, pair):
+        client, server = pair
+        for configured in (None, 7.5):
+            client._sock.settimeout(configured)
+            # Buffered fast path, syscall path, timeouts and sends, mixed.
+            server.send_many([b"a", b"b", b"c"])
+            assert client.recv(timeout=5) == b"a"
+            client.send(b"ping")
+            assert client._sock.gettimeout() == configured
+            assert client.recv() == b"b"  # untimed, served from the buffer
+            assert client.recv(timeout=0.01) == b"c"
+            with pytest.raises(TransportTimeoutError):
+                client.recv(timeout=0.01)
+            assert client._sock.gettimeout() == configured
+            client.send(b"pong")
+            server.send(b"d")
+            assert client.recv() == b"d"  # untimed, through the socket
+            assert client._sock.gettimeout() == configured
+            assert [server.recv(timeout=5) for _ in range(2)] == [b"ping", b"pong"]
+
     def test_boundary_timeout_keeps_channel_usable(self, pair):
         client, server = pair
         for _ in range(3):
@@ -54,37 +74,63 @@ class TestTimeoutHygiene:
         assert client.recv(timeout=5) == b"finally"
 
 
-class TestPoisoning:
-    def test_mid_frame_timeout_poisons(self, pair):
+class TestMidFrameTimeout:
+    """A timeout inside a frame keeps the partial frame buffered: the
+    next recv resumes it (PROTOCOL §9.1), nothing is ever poisoned."""
+
+    def test_partial_body_then_rest_yields_frame(self, pair):
         client, server = pair
-        # A frame header promising 100 bytes, but only part of the body:
-        # the client's read stops mid-frame.
+        # A header promising 100 bytes, but only part of the body.
         server._sock.sendall((100).to_bytes(4, "big") + b"partial")
         time.sleep(0.05)
         with pytest.raises(TransportTimeoutError) as excinfo:
             client.recv(timeout=0.1)
         assert excinfo.value.mid_frame
-        assert client.poisoned
-
-    def test_poisoned_channel_refuses_recv(self, pair):
-        client, server = pair
-        server._sock.sendall((100).to_bytes(4, "big") + b"partial")
-        time.sleep(0.05)
-        with pytest.raises(TransportTimeoutError):
-            client.recv(timeout=0.1)
-        # The rest of the frame arrives — too late, the stream cannot be
-        # trusted to be at a boundary anymore.
+        assert not client.poisoned
         server._sock.sendall(b"x" * 93)
-        with pytest.raises(TransportError, match="poisoned"):
-            client.recv(timeout=1)
+        assert client.recv(timeout=5) == b"partial" + b"x" * 93
 
-    def test_unpoisoned_partial_header_also_poisons(self, pair):
+    def test_partial_header_then_rest_yields_frame(self, pair):
         client, server = pair
         server._sock.sendall(b"\x00\x00")  # half a length prefix
         time.sleep(0.05)
         with pytest.raises(TransportTimeoutError) as excinfo:
             client.recv(timeout=0.1)
         assert excinfo.value.mid_frame
+        assert not client.poisoned
+        server._sock.sendall(b"\x00\x05hello")
+        server.send(b"next")
+        assert client.recv(timeout=5) == b"hello"
+        assert client.recv(timeout=5) == b"next"
+
+    def test_repeated_timeouts_lose_nothing(self, pair):
+        client, server = pair
+        body = bytes(range(256)) * 40  # larger than the initial buffer
+        wire = len(body).to_bytes(4, "big") + body
+        for start in range(0, len(wire) - 3000, 3000):
+            server._sock.sendall(wire[start : start + 3000])
+            time.sleep(0.02)
+            with pytest.raises(TransportTimeoutError) as excinfo:
+                client.recv(timeout=0.05)
+            assert excinfo.value.mid_frame
+        server._sock.sendall(wire[start + 3000 :])
+        assert client.recv(timeout=5) == body
+        assert client._sock.gettimeout() is None
+
+    def test_reconnecting_channel_does_not_redial(self):
+        with listen() as listener:
+            channel = ReconnectingTCPChannel(*listener.address, max_reconnects=3)
+            server = listener.accept(timeout=5)
+            server._sock.sendall((8).to_bytes(4, "big") + b"half")
+            time.sleep(0.05)
+            with pytest.raises(TransportTimeoutError) as excinfo:
+                channel.recv(timeout=0.05)
+            assert excinfo.value.mid_frame
+            server._sock.sendall(b"-way")
+            assert channel.recv(timeout=5) == b"half-way"
+            assert channel.reconnects == 0
+            channel.close()
+            server.close()
 
 
 class EchoServer:

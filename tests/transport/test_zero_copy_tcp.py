@@ -71,6 +71,49 @@ class TestScatterGatherSend:
         assert received["message"] == big
 
 
+class ShortWriter:
+    """A socket whose ``sendmsg`` accepts at most the next limit's bytes."""
+
+    def __init__(self, sock, limits):
+        self._sock = sock
+        self._limits = iter(limits)
+        self.calls = 0
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        data = b"".join(bytes(buffer) for buffer in buffers)
+        return self._sock.send(data[: next(self._limits, len(data))])
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestShortWrites:
+    def test_forced_short_writes_deliver_an_intact_frame(self, tcp_pair):
+        client, server = tcp_pair
+        # 1 byte (inside the prefix), 3 (its end), 2, 5, then the rest.
+        writer = client._sock = ShortWriter(client._sock, [1, 3, 2, 5])
+        client.send(b"short writes all the way")
+        client.send(b"")
+        assert writer.calls == 6
+        assert server.recv(timeout=5.0) == b"short writes all the way"
+        assert server.recv(timeout=5.0) == b""
+
+    def test_whole_frame_goes_out_in_one_sendmsg(self, tcp_pair):
+        client, server = tcp_pair
+        writer = client._sock = ShortWriter(client._sock, [])
+        client.send(b"one call")
+        assert writer.calls == 1
+        assert server.recv(timeout=5.0) == b"one call"
+
+    def test_short_write_inside_a_batch(self, tcp_pair):
+        client, server = tcp_pair
+        client._sock = ShortWriter(client._sock, [5, 1])
+        messages = [b"alpha", b"", b"gamma-gamma"]
+        assert client.send_many(messages) == 3
+        assert [server.recv(timeout=5.0) for _ in messages] == messages
+
+
 class TestSendMany:
     def test_batch_arrives_as_individual_frames(self, tcp_pair):
         client, server = tcp_pair
@@ -116,9 +159,13 @@ class TestRecvView:
         client.send(b"aaaa")
         client.send(b"bbbb")
         first = server.recv_view(timeout=5.0)
-        server.recv_view(timeout=5.0)
-        # The ownership contract: the old view now reads the new frame.
-        assert bytes(first) == b"bbbb"
+        # The ownership contract: valid until the next receive, even
+        # though the second frame is already buffered behind it...
+        assert bytes(first) == b"aaaa"
+        second = server.recv_view(timeout=5.0)
+        # ...after which what ``first`` reads is unspecified (old bytes,
+        # a later frame, another channel's data), so nothing is pinned.
+        assert bytes(second) == b"bbbb"
 
     def test_recv_still_returns_owned_bytes(self, tcp_pair):
         client, server = tcp_pair
@@ -139,19 +186,24 @@ class TestRecvViewDebug:
 
     @pytest.fixture
     def debug_mode(self):
+        # Restore, not reset: CI also runs this suite with the
+        # REPRO_DEBUG_RECV_VIEW environment variable set.
+        before = recv_view_debug_enabled()
         set_recv_view_debug(True)
         try:
             yield
         finally:
-            set_recv_view_debug(False)
+            set_recv_view_debug(before)
 
     def test_flag_round_trips(self):
-        assert recv_view_debug_enabled() is False
-        set_recv_view_debug(True)
+        before = recv_view_debug_enabled()
         try:
+            set_recv_view_debug(False)
+            assert recv_view_debug_enabled() is False
+            set_recv_view_debug(True)
             assert recv_view_debug_enabled() is True
         finally:
-            set_recv_view_debug(False)
+            set_recv_view_debug(before)
 
     def test_stale_view_raises_instead_of_aliasing(self, tcp_pair, debug_mode):
         client, server = tcp_pair
@@ -161,7 +213,7 @@ class TestRecvViewDebug:
         assert bytes(first) == b"aaaa"
         second = server.recv_view(timeout=5.0)
         assert bytes(second) == b"bbbb"
-        # Regression: without debug mode this would silently read "bbbb".
+        # Without debug mode this would silently read buffer memory.
         with pytest.raises(ValueError):
             bytes(first)
 
@@ -191,11 +243,14 @@ class TestRecvViewDebug:
         assert first == b"aaaa"
 
     def test_default_mode_keeps_documented_alias(self, tcp_pair):
+        if recv_view_debug_enabled():
+            pytest.skip("REPRO_DEBUG_RECV_VIEW is set for this run")
         client, server = tcp_pair
         client.send(b"aaaa")
         client.send(b"bbbb")
         first = server.recv_view(timeout=5.0)
         server.recv_view(timeout=5.0)
-        # Debug off: the stale view silently aliases the new frame — the
-        # documented (and perf-default) hazard the flag exists to catch.
-        assert bytes(first) == b"bbbb"
+        # Debug off: the stale view is not revoked, it silently aliases
+        # buffer memory — the documented (and perf-default) hazard the
+        # flag exists to catch.  Which bytes it shows is unspecified.
+        assert len(bytes(first)) == 4

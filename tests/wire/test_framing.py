@@ -15,6 +15,7 @@ from repro.wire import (
     read_frame_into,
     unframe,
 )
+from repro.wire.framing import READ_AHEAD_MAX
 
 
 def reader_over(data: bytes):
@@ -27,6 +28,21 @@ def recv_into_over(data: bytes):
     """A socket-style recv_into over a byte string."""
     stream = io.BytesIO(data)
     return lambda view: stream.readinto(view)
+
+
+def recv_into_chunks(*chunks: bytes):
+    """A recv_into that delivers one given chunk per call, then EOF."""
+    pending = list(chunks)
+
+    def recv_into(view):
+        if not pending:
+            return 0
+        chunk = pending.pop(0)
+        assert len(chunk) <= len(view), "chunk exceeds the offered window"
+        view[: len(chunk)] = chunk
+        return len(chunk)
+
+    return recv_into
 
 
 class TestFrameUnframe:
@@ -192,11 +208,101 @@ class TestReadFrameInto:
 
     def test_next_read_overwrites_prior_view(self):
         buffer = ReceiveBuffer()
-        recv_into = recv_into_over(frame(b"aaaa") + frame(b"bbbb"))
+        recv_into = recv_into_chunks(frame(b"aaaa"), frame(b"bbbb"))
         first = read_frame_into(recv_into, buffer)
         read_frame_into(recv_into, buffer)
-        # The ownership contract: the old view now shows the new bytes.
+        # The ownership contract: a drained buffer is refilled from its
+        # start, so the old view aliases whatever was read next.
         assert bytes(first) == b"bbbb"
+
+    def test_buffered_frames_cost_no_read(self):
+        buffer = ReceiveBuffer()
+        stream = b"".join(frame(b"%03d" % i) for i in range(100))
+        recv_into = recv_into_over(stream)
+        got = [bytes(read_frame_into(recv_into, buffer)) for _ in range(100)]
+        assert got == [b"%03d" % i for i in range(100)]
+        assert buffer.reads == 1
+
+    def test_read_error_keeps_partial_frame_buffered(self):
+        buffer = ReceiveBuffer()
+        data = frame(b"resumable")
+        attempts = iter([data[:2], TimeoutError, data[2:9], TimeoutError, data[9:]])
+
+        def recv_into(view):
+            step = next(attempts)
+            if step is TimeoutError:
+                raise TimeoutError
+            view[: len(step)] = step
+            return len(step)
+
+        for pending in (2, 9):
+            with pytest.raises(TimeoutError):
+                read_frame_into(recv_into, buffer)
+            assert buffer.pending == pending
+        assert bytes(read_frame_into(recv_into, buffer)) == b"resumable"
+
+    def test_partial_frame_moves_only_when_the_tail_is_short(self):
+        buffer = ReceiveBuffer(initial=256)
+        small, large = b"s" * 96, b"L" * 200
+        first = frame(small) + frame(small) + frame(large)[:56]
+        recv_into = recv_into_chunks(first, frame(large)[56:])
+        assert bytes(read_frame_into(recv_into, buffer)) == small
+        assert bytes(read_frame_into(recv_into, buffer)) == small
+        # 56 bytes of a 204-byte frame sit at offset 200 of 256.
+        assert bytes(read_frame_into(recv_into, buffer)) == large
+        assert buffer.pending == 0
+
+    def test_a_read_that_fills_the_buffer_doubles_it(self):
+        buffer = ReceiveBuffer(initial=256)
+        stream = b"".join(frame(b"x" * 60) for _ in range(64))
+        recv_into = recv_into_over(stream)
+        capacities = set()
+        for _ in range(64):
+            read_frame_into(recv_into, buffer)
+            capacities.add(buffer.capacity)
+        assert capacities == {256, 512, 1024, 2048, 4096}
+
+    def test_frame_past_the_read_ahead_is_read_exactly_to_its_end(self):
+        buffer = ReceiveBuffer()
+        big = bytes(range(256)) * 1024  # 256 KiB > READ_AHEAD_MAX
+        offered = []
+        stream = io.BytesIO(frame(big) + frame(b"next"))
+
+        def recv_into(view):
+            offered.append(len(view))
+            return stream.readinto(view)
+
+        assert bytes(read_frame_into(recv_into, buffer)) == big
+        assert buffer.pending == 0  # not one byte of the next frame
+        assert len(big) > READ_AHEAD_MAX
+        assert offered == [4096, len(big) + 4 - 4096]
+        assert bytes(read_frame_into(recv_into, buffer)) == b"next"
+
+    def test_oversize_prefix_behind_whole_frames(self):
+        buffer = ReceiveBuffer()
+        recv_into = recv_into_over(frame(b"one") + frame(b"two") + b"\xff" * 8)
+        assert bytes(read_frame_into(recv_into, buffer)) == b"one"
+        capacity = buffer.capacity
+        assert bytes(read_frame_into(recv_into, buffer)) == b"two"
+        for _ in range(2):  # rejected every time, nothing consumed
+            with pytest.raises(WireError, match="exceeds limit"):
+                read_frame_into(recv_into, buffer)
+        assert buffer.capacity == capacity
+
+    def test_eof_after_buffered_frames_is_channel_closed(self):
+        buffer = ReceiveBuffer()
+        recv_into = recv_into_over(frame(b"a") + frame(b"b"))
+        assert bytes(read_frame_into(recv_into, buffer)) == b"a"
+        assert bytes(read_frame_into(recv_into, buffer)) == b"b"
+        with pytest.raises(ChannelClosedError):
+            read_frame_into(recv_into, buffer)
+
+    def test_eof_inside_buffered_partial_is_wire_error(self):
+        buffer = ReceiveBuffer()
+        recv_into = recv_into_over(frame(b"whole") + frame(b"partial")[:-1])
+        assert bytes(read_frame_into(recv_into, buffer)) == b"whole"
+        with pytest.raises(WireError, match="mid-frame"):
+            read_frame_into(recv_into, buffer)
 
     def test_eof_at_boundary_is_channel_closed(self):
         with pytest.raises(ChannelClosedError):
@@ -253,20 +359,22 @@ class TestFrameDecoderZeroCopy:
             collected.extend(bytes(m) for m in decoder.messages())
         assert collected == [b"hello", b"world"]
 
-    def test_views_survive_later_feeds(self):
+    def test_views_valid_until_next_feed(self):
         decoder = FrameDecoder(copy=False)
-        decoder.feed(frame(b"first"))
-        (first,) = decoder.messages()
-        decoder.feed(frame(b"second"))
-        (second,) = decoder.messages()
+        decoder.feed(frame(b"first") + frame(b"second"))
+        first, second = decoder.messages()
+        # Both alias the decoder's buffer, untouched until the next feed.
         assert (bytes(first), bytes(second)) == (b"first", b"second")
+        decoder.feed(frame(b"third"))
+        assert [bytes(m) for m in decoder.messages()] == [b"third"]
 
     def test_copy_mode_defends_against_mutable_chunks(self):
-        decoder = FrameDecoder()  # copy=True default
-        chunk = bytearray(frame(b"abc"))
-        decoder.feed(chunk)
-        chunk[:] = b"\x00" * len(chunk)  # caller reuses the buffer
-        assert list(decoder.messages()) == [b"abc"]
+        for copy in (True, False):  # feed copies the chunk in either mode
+            decoder = FrameDecoder(copy=copy)
+            chunk = bytearray(frame(b"abc"))
+            decoder.feed(chunk)
+            chunk[:] = b"\x00" * len(chunk)  # caller reuses the buffer
+            assert [bytes(m) for m in decoder.messages()] == [b"abc"]
 
     def test_oversize_frame_rejected(self):
         decoder = FrameDecoder(copy=False)
