@@ -7,9 +7,9 @@ This package is the same system on coroutines — one loop multiplexing
 every connection — speaking **byte-identical wire formats**, so any
 sync endpoint interoperates with any async endpoint:
 
-- :class:`AsyncTCPChannel` — the framed message channel over asyncio
-  streams, with per-connection send/recv locks, small-frame write
-  coalescing, and drain-based backpressure;
+- :class:`AsyncTCPChannel` — the framed message channel, an asyncio
+  protocol over the shared read-ahead frame buffer, with a send lock,
+  small-frame write coalescing, and backpressure in both directions;
 - :class:`AsyncMetadataServer` — the metadata HTTP server, sharing a
   :class:`~repro.metaserver.catalog.MetadataCatalog` (and through it a
   :class:`~repro.pbio.fmserver.FormatServer`) with the threaded server,

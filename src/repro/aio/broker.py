@@ -27,7 +27,7 @@ import threading
 from collections import deque
 
 from repro.aio.channel import AsyncChannel, AsyncTCPChannel, connect
-from repro.errors import ChannelClosedError, ReproError, TransportError
+from repro.errors import ReproError, TransportError
 from repro.events.backbone import EventBackbone, RoutedFrame
 from repro.events.endpoints import Event
 from repro.events.protocol import ClientSession, ServerSession
@@ -124,8 +124,11 @@ class AsyncEventBroker:
         """Bind and begin accepting connections (fluent)."""
         if self._server is not None:
             raise TransportError("broker already started")
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port, backlog=1024
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: AsyncTCPChannel(self._on_connection),
+            self._host,
+            self._port,
+            backlog=1024,
         )
         return self
 
@@ -149,20 +152,11 @@ class AsyncEventBroker:
 
     # -- connection handling --------------------------------------------------
 
-    async def _on_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._tasks.add(task)
+    def _on_connection(self, channel: AsyncTCPChannel) -> None:
         self.connections_served += 1
-        channel = AsyncTCPChannel(reader, writer)
-        try:
-            await self._serve_connection(channel)
-        except asyncio.CancelledError:
-            pass
-        except (OSError, ConnectionError):
-            pass
-        finally:
-            self._tasks.discard(task)
-            await channel.close()
+        task = asyncio.ensure_future(self._serve_connection(channel))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _serve_connection(self, channel: AsyncTCPChannel) -> None:
         queue = _AsyncSinkQueue(asyncio.get_running_loop(), self.queue_limit)
@@ -173,8 +167,8 @@ class AsyncEventBroker:
                 reply = session.feed(await channel.recv())
                 if reply is not None:
                     await channel.send(reply)
-        except ReproError:
-            pass  # peer gone or protocol violation: drop this connection only
+        except (ReproError, OSError, asyncio.CancelledError):
+            pass  # peer gone, protocol violation or stop(): drop this connection only
         finally:
             session.close()
             delivery.cancel()
@@ -182,6 +176,7 @@ class AsyncEventBroker:
                 await delivery
             except (asyncio.CancelledError, Exception):
                 pass
+            await channel.close()
 
     async def _delivery_loop(self, channel: AsyncTCPChannel, queue) -> None:
         try:
@@ -190,7 +185,7 @@ class AsyncEventBroker:
                 # envelope() is cached on the shared frame: the first
                 # sink of a fan-out builds it, the rest reuse it.
                 await channel.send(frame.envelope())
-        except (TransportError, ChannelClosedError, OSError):
+        except (TransportError, OSError):
             return  # subscription cancelled or peer gone
 
 

@@ -1,31 +1,38 @@
-"""Asyncio transport: framed message channels over asyncio streams.
+"""Asyncio transport: framed message channels on an event loop.
 
 Speaks exactly the wire format of :mod:`repro.transport.tcp` — the
 big-endian u32 length prefix of :mod:`repro.wire.framing` — so an
 :class:`AsyncTCPChannel` on one end and a sync
 :class:`~repro.transport.tcp.TCPChannel` on the other are
-indistinguishable on the wire.
+indistinguishable on the wire.  It runs the same frame reader, too: the
+channel is an :class:`asyncio.BufferedProtocol` whose ``get_buffer`` is
+:meth:`ReceiveBuffer.tail <repro.wire.framing.ReceiveBuffer.tail>` and
+whose ``buffer_updated`` is ``commit`` plus a ``next_frame`` loop, so
+the loop reads straight into the read-ahead buffer and a length prefix
+is parsed, and vetted against the frame limit, in one place.
 
 Concurrency model (see docs/PROTOCOL.md §10):
 
 - **send lock** — concurrent ``send`` coroutines are serialized per
   frame; frames from different senders interleave at frame boundaries,
   never inside one.
-- **recv lock** — concurrent ``recv`` coroutines are serialized per
-  frame; each receives one whole frame, arrival order decides which.
-- **write coalescing** — frames smaller than ``coalesce_bytes`` are
+- **frame queue** — whole frames wait in a FIFO as owned ``bytes``; each
+  concurrent ``recv`` takes one, arrival order decides which.
+- **write coalescing** — frames smaller than :data:`COALESCE_BYTES` are
   parked in a user-space buffer and flushed in one transport write on
   the next loop tick (or sooner, when the buffer fills).  Many small
   publishes become one syscall instead of many.
-- **backpressure** — the transport's write-buffer high-water mark is set
-  to ``high_water``; every flush awaits ``drain()``, so a producer
-  outrunning a slow peer suspends instead of buffering without bound.
+- **backpressure** — the transport's write-buffer high-water mark is
+  :data:`HIGH_WATER` and every flush waits out ``pause_writing``, so a
+  producer outrunning a slow peer suspends instead of buffering without
+  bound; reading pauses while more than ``READ_AHEAD_MAX`` bytes of
+  frames wait for a ``recv``, so an idle consumer fills the kernel's
+  buffers, not ours.
 
-As on the sync channel, a recv timeout can never desynchronize the
-stream: asyncio's ``StreamReader`` only consumes bytes once a full read
-is satisfied, so a cancelled mid-frame read leaves every byte buffered
-and the next ``recv`` resumes cleanly.  :attr:`AsyncTCPChannel.poisoned`
-exists for interface parity and is always ``False``.
+As on the sync channel, a recv timeout cannot desynchronize the stream:
+nothing is consumed until a frame is whole, so the part that arrived
+before the deadline stays buffered (the error then carries
+``mid_frame=True``) and the next ``recv`` returns the frame.
 """
 
 from __future__ import annotations
@@ -40,31 +47,18 @@ from repro.errors import (
     TransportTimeoutError,
     WireError,
 )
-from repro.obs.instr import channel_handles
-from repro.obs.metrics import get_registry
-from repro.wire.framing import MAX_FRAME_SIZE, _LENGTH, frame_iov, frame_parts
+from repro.obs.instr import channel_handles, handle_memo
+from repro.wire.bufpool import get_pool
+from repro.wire.framing import READ_AHEAD_MAX, ReceiveBuffer, frame_iov, frame_parts
 
-# Memo of the bound series for the current default registry; swapped
-# registries (tests) re-resolve on first use.
-_obs_memo = [None]
+#: The async plane's channel metric handles, or None if disabled.
+_obs = handle_memo(lambda registry: channel_handles(registry, "async"))
 
+#: A ``send`` parks its frame until this many bytes are buffered.
+COALESCE_BYTES = 2048
 
-def _obs():
-    """The async plane's channel metric handles, or None if disabled."""
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    cached = _obs_memo[0]
-    if cached is None or cached[0] is not registry:
-        cached = (registry, channel_handles(registry, "async"))
-        _obs_memo[0] = cached
-    return cached[1]
-
-#: Frames at or above this many bytes bypass the coalescing buffer.
-DEFAULT_COALESCE_BYTES = 2048
-
-#: Transport write-buffer high-water mark: ``drain()`` suspends above it.
-DEFAULT_HIGH_WATER = 256 * 1024
+#: Transport write-buffer high-water mark: a flush suspends above it.
+HIGH_WATER = 256 * 1024
 
 
 class AsyncChannel(abc.ABC):
@@ -118,38 +112,130 @@ class AsyncChannel(abc.ABC):
         await self.close()
 
 
-class AsyncTCPChannel(AsyncChannel):
-    """A connected asyncio stream speaking length-prefixed messages."""
+class AsyncTCPChannel(AsyncChannel, asyncio.BufferedProtocol):
+    """A connected TCP socket speaking length-prefixed messages.
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
-        high_water: int = DEFAULT_HIGH_WATER,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    The channel is its own asyncio protocol: build one through
+    :func:`connect` / :func:`listen` (or hand the class to
+    ``loop.create_connection``).  ``on_connected``, the server side's
+    hook, is called with the channel once its transport is up.
+    """
+
+    def __init__(self, on_connected=None) -> None:
+        self._on_connected = on_connected
+        self._transport: asyncio.Transport | None = None
         self._closed = False
+        # Resolves to connection_lost's argument once the transport is gone.
+        self._lost: asyncio.Future = asyncio.get_running_loop().create_future()
         self._send_lock = asyncio.Lock()
-        self._recv_lock = asyncio.Lock()
         # Coalescing buffer as an iovec: (header, payload) pairs are
         # appended by reference and handed to writelines() at flush — no
         # per-frame concatenation copy.
         self._wbufs: list = []
         self._wbuf_len = 0
         self._flush_task: asyncio.Task | None = None
-        self.coalesce_bytes = coalesce_bytes
+        self._writable = asyncio.Event()  # cleared between pause_/resume_writing
+        self._writable.set()
+        self._rbuf = ReceiveBuffer(get_pool())
+        # Whole frames not yet received, then the error that ended the
+        # stream: it stays queued, so every later recv raises it.
+        self._frames: asyncio.Queue = asyncio.Queue()
+        self._queued_bytes = 0
+        self._recv_ended = False
         self.frames_sent = 0
         self.frames_received = 0
         self.flushes = 0  # transport writes (each may carry many frames)
+
+    # -- the protocol: what the transport calls --------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        transport.set_write_buffer_limits(high=HIGH_WATER)
+        if self._on_connected is not None:
+            self._on_connected(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._rbuf.tail()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        rbuf = self._rbuf
+        rbuf.commit(nbytes)
+        handles = _obs()
+        if handles is not None:
+            handles.recv_reads.inc()
+        put = self._frames.put_nowait
         try:
-            writer.transport.set_write_buffer_limits(high=high_water)
-        except (AttributeError, NotImplementedError):  # e.g. test transports
-            pass
+            while (view := rbuf.next_frame()) is not None:
+                put(bytes(view))
+                self._queued_bytes += len(view)
+        except WireError as exc:
+            # A forged prefix: stop reading rather than size a buffer by it.
+            self._end_recv(exc)
+        if self._queued_bytes > READ_AHEAD_MAX:
+            self._transport.pause_reading()  # until recv brings it back under
+
+    def eof_received(self) -> bool:
+        self._end_recv(None)
+        return True  # the write side stays up: sends fail when the kernel says so
+
+    def connection_lost(self, exc) -> None:
+        self._end_recv(exc)
+        self._rbuf.close()
+        self._lost.set_result(exc)
+        self._writable.set()
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def _end_recv(self, exc) -> None:
+        """No frame will follow: stop reading and queue the error every
+        ``recv`` raises once the frames before it are taken."""
+        if self._recv_ended:
+            return
+        self._recv_ended = True
+        if exc is None and self._rbuf.pending:
+            exc = WireError("stream ended mid-frame")
+        elif exc is None:
+            exc = ChannelClosedError("peer closed the stream")
+        elif isinstance(exc, ConnectionResetError):
+            exc = ChannelClosedError(f"connection reset: {exc}")
+        elif not isinstance(exc, WireError):
+            exc = TransportError(f"recv failed: {exc}")
+        self._transport.pause_reading()
+        self._frames.put_nowait(exc)
 
     # -- sending ---------------------------------------------------------------
+
+    async def _send_iov(self, buffers, frames: int, payload_bytes: int, flush: bool) -> None:
+        """Queue ``frames`` whole frames for the wire: the one send body
+        (lock, closed check, coalescing, write, metrics) behind
+        ``send``/``send_many``/``send_batch``.
+
+        ``buffers`` is their iovec and starts with a length prefix;
+        ``payload_bytes`` counts the messages without their prefixes.
+        Without ``flush`` a small frame waits for the next loop tick.
+        """
+        handles = _obs()
+        started = perf_counter() if handles is not None else 0.0
+        async with self._send_lock:
+            if self._closed:
+                raise ChannelClosedError("cannot send on a closed channel")
+            self._wbufs.extend(buffers)
+            self._wbuf_len += payload_bytes + frames * len(buffers[0])
+            self.frames_sent += frames
+            if flush or self._wbuf_len >= COALESCE_BYTES:
+                await self._flush_buffered()
+            elif self._flush_task is None:
+                # Park small frames until the loop comes back around, so
+                # a burst of sends in one tick costs one write.
+                self._flush_task = asyncio.ensure_future(self._deferred_flush())
+        if handles is not None:
+            handles.send_seconds.observe(perf_counter() - started)
+            handles.send_frames.inc(frames)
+            handles.send_bytes.inc(payload_bytes)
 
     async def send(self, message: bytes) -> None:
         """Deliver ``message`` (may coalesce; see :meth:`flush`).
@@ -159,59 +245,24 @@ class AsyncTCPChannel(AsyncChannel):
         ``memoryview`` over a pooled encode buffer) must not reuse it
         before ``await flush()`` returns.
         """
-        header, payload = frame_iov(message)
-        handles = _obs()
-        started = perf_counter() if handles is not None else 0.0
-        async with self._send_lock:
-            if self._closed:
-                raise ChannelClosedError("cannot send on a closed channel")
-            self._wbufs.append(header)
-            self._wbufs.append(payload)
-            self._wbuf_len += len(header) + len(payload)
-            self.frames_sent += 1
-            if self._wbuf_len >= self.coalesce_bytes:
-                await self._flush_buffered()
-            elif self._flush_task is None:
-                # Park small frames until the loop comes back around, so
-                # a burst of sends in one tick costs one write.
-                self._flush_task = asyncio.ensure_future(self._deferred_flush())
-        if handles is not None:
-            handles.send_seconds.observe(perf_counter() - started)
-            handles.send_frames.inc()
-            handles.send_bytes.inc(len(message))
+        await self._send_iov(frame_iov(message), 1, len(message), False)
 
     async def send_many(self, messages) -> int:
         """Send a batch as one vectored write; returns the frame count.
 
         All frames join the iovec under one lock acquisition and are
-        flushed immediately with a single ``writelines`` + ``drain`` —
-        the async counterpart of the sync channel's scatter-gather
+        flushed immediately with a single ``writelines`` + drain — the
+        async counterpart of the sync channel's scatter-gather
         ``send_many``.
         """
-        iov: list = []
-        count = 0
+        buffers: list = []
         total_bytes = 0
         for message in messages:
-            header, payload = frame_iov(message)
-            iov.append(header)
-            iov.append(payload)
-            total_bytes += len(payload)
-            count += 1
-        if not count:
-            return 0
-        handles = _obs()
-        started = perf_counter() if handles is not None else 0.0
-        async with self._send_lock:
-            if self._closed:
-                raise ChannelClosedError("cannot send on a closed channel")
-            self._wbufs.extend(iov)
-            self._wbuf_len += total_bytes + _LENGTH.size * count
-            self.frames_sent += count
-            await self._flush_buffered()
-        if handles is not None:
-            handles.send_seconds.observe(perf_counter() - started)
-            handles.send_frames.inc(count)
-            handles.send_bytes.inc(total_bytes)
+            buffers.extend(frame_iov(message))
+            total_bytes += len(message)
+        count = len(buffers) // 2
+        if count:
+            await self._send_iov(buffers, count, total_bytes, True)
         return count
 
     async def send_batch(self, parts) -> int:
@@ -220,29 +271,16 @@ class AsyncTCPChannel(AsyncChannel):
         The async counterpart of the sync channel's ``send_batch``: a
         columnar batch message joins the write iovec part by part (no
         join copy) and is flushed immediately with one ``writelines`` +
-        ``drain``.
+        drain.
         """
         buffers = frame_parts(parts)
-        total = sum(len(part) for part in buffers) - _LENGTH.size
-        handles = _obs()
-        started = perf_counter() if handles is not None else 0.0
-        async with self._send_lock:
-            if self._closed:
-                raise ChannelClosedError("cannot send on a closed channel")
-            self._wbufs.extend(buffers)
-            self._wbuf_len += total + _LENGTH.size
-            self.frames_sent += 1
-            await self._flush_buffered()
-        if handles is not None:
-            handles.send_seconds.observe(perf_counter() - started)
-            handles.send_frames.inc()
-            handles.send_bytes.inc(total)
+        total = sum(len(part) for part in buffers) - len(buffers[0])
+        await self._send_iov(buffers, 1, total, True)
         return total
 
     async def _deferred_flush(self) -> None:
         try:
-            async with self._send_lock:
-                await self._flush_buffered()
+            await self.flush()
         except (TransportError, OSError):
             pass  # the next explicit send/flush surfaces the failure
         finally:
@@ -256,9 +294,14 @@ class AsyncTCPChannel(AsyncChannel):
         self._wbufs = []
         self._wbuf_len = 0
         try:
-            self._writer.writelines(buffers)
+            self._transport.writelines(buffers)
             self.flushes += 1
-            await self._writer.drain()
+            if self._transport.is_closing():
+                await asyncio.sleep(0)  # a failed write: let connection_lost run
+            if not self._writable.is_set():
+                await self._writable.wait()  # above the high-water mark
+            if self._lost.done():
+                raise self._lost.result() or ConnectionResetError("connection lost")
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise ChannelClosedError(f"peer closed the connection: {exc}") from exc
         except OSError as exc:
@@ -276,46 +319,33 @@ class AsyncTCPChannel(AsyncChannel):
             raise ChannelClosedError("cannot recv on a closed channel")
         handles = _obs()
         started = perf_counter() if handles is not None else 0.0
-        try:
-            message = await asyncio.wait_for(self._recv_one(), timeout)
-        except asyncio.TimeoutError as exc:
-            # StreamReader buffers partial frames, so a timeout never
-            # desynchronizes the stream.
-            raise TransportTimeoutError(f"recv timed out after {timeout}s") from exc
+        frames = self._frames
+        if frames.empty():
+            try:
+                message = await asyncio.wait_for(frames.get(), timeout)
+            except asyncio.TimeoutError as exc:
+                pending = self._rbuf.pending  # stays buffered: the next recv resumes it
+                raise TransportTimeoutError(
+                    f"recv timed out after {timeout}s, {pending} byte(s) into a frame",
+                    mid_frame=pending > 0,
+                ) from exc
+        else:
+            message = frames.get_nowait()
+        if message.__class__ is not bytes:
+            frames.put_nowait(message)  # the stream's end, for every later recv too
+            raise message
+        queued = self._queued_bytes
+        self._queued_bytes = queued - len(message)
+        if self._queued_bytes <= READ_AHEAD_MAX < queued and not self._recv_ended:
+            self._transport.resume_reading()  # back under the mark
+        self.frames_received += 1
         if handles is not None:
             handles.recv_seconds.observe(perf_counter() - started)
             handles.recv_frames.inc()
             handles.recv_bytes.inc(len(message))
         return message
 
-    async def _recv_one(self) -> bytes:
-        async with self._recv_lock:
-            try:
-                header = await self._reader.readexactly(_LENGTH.size)
-            except asyncio.IncompleteReadError as exc:
-                if not exc.partial:
-                    raise ChannelClosedError("peer closed the stream") from exc
-                raise WireError("stream ended mid-frame") from exc
-            except ConnectionResetError as exc:
-                raise ChannelClosedError(f"connection reset: {exc}") from exc
-            (length,) = _LENGTH.unpack(header)
-            if length > MAX_FRAME_SIZE:
-                raise WireError(f"frame length {length} exceeds limit")
-            try:
-                body = await self._reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise WireError("stream ended mid-frame") from exc
-            except ConnectionResetError as exc:
-                raise ChannelClosedError(f"connection reset: {exc}") from exc
-            self.frames_received += 1
-            return body
-
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def poisoned(self) -> bool:
-        """Always False: buffered reads make timeouts boundary-safe."""
-        return False
 
     async def close(self) -> None:
         if self._closed:
@@ -328,11 +358,8 @@ class AsyncTCPChannel(AsyncChannel):
         if self._flush_task is not None:
             self._flush_task.cancel()
             self._flush_task = None
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
+        self._transport.close()
+        await self._lost  # whatever was written has reached the kernel
 
     @property
     def closed(self) -> bool:
@@ -340,13 +367,13 @@ class AsyncTCPChannel(AsyncChannel):
 
     @property
     def local_address(self) -> tuple[str, int]:
-        return self._writer.get_extra_info("sockname")[:2]
+        return self._transport.get_extra_info("sockname")[:2]
 
 
 class AsyncTCPListener:
     """A listening server handing out :class:`AsyncTCPChannel` connections.
 
-    Built on ``asyncio.start_server``: inbound connections queue until
+    Built on ``loop.create_server``: inbound connections queue until
     :meth:`accept` claims them.  Use :func:`listen` to construct.
     """
 
@@ -367,7 +394,7 @@ class AsyncTCPListener:
         try:
             return await asyncio.wait_for(self._queue.get(), timeout)
         except asyncio.TimeoutError as exc:
-            raise TransportError(f"accept timed out after {timeout}s") from exc
+            raise TransportTimeoutError(f"accept timed out after {timeout}s") from exc
 
     async def close(self) -> None:
         """Stop listening and drop queued, unclaimed connections."""
@@ -390,12 +417,10 @@ class AsyncTCPListener:
 async def listen(host: str = "127.0.0.1", port: int = 0) -> AsyncTCPListener:
     """Open an async listener; ``port=0`` picks a free port."""
     queue: asyncio.Queue = asyncio.Queue()
-
-    async def on_connection(reader, writer) -> None:
-        await queue.put(AsyncTCPChannel(reader, writer))
-
     try:
-        server = await asyncio.start_server(on_connection, host, port)
+        server = await asyncio.get_running_loop().create_server(
+            lambda: AsyncTCPChannel(queue.put_nowait), host, port
+        )
     except OSError as exc:
         raise TransportError(f"cannot bind {host}:{port}: {exc}") from exc
     return AsyncTCPListener(server, queue)
@@ -405,12 +430,13 @@ async def connect(
     host: str, port: int, timeout: float | None = 5.0
 ) -> AsyncTCPChannel:
     """Connect to a listener (sync or async) and return the channel."""
+    loop = asyncio.get_running_loop()
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
+        _, channel = await asyncio.wait_for(
+            loop.create_connection(AsyncTCPChannel, host, port), timeout
         )
     except asyncio.TimeoutError as exc:
         raise TransportError(f"connect to {host}:{port} timed out") from exc
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    return AsyncTCPChannel(reader, writer)
+    return channel

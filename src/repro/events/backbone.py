@@ -7,7 +7,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.errors import TransportError
+from repro.errors import TransportError, TransportTimeoutError
 from repro.events.protocol import OP_EVENT, pack_envelope
 from repro.obs.metrics import get_registry
 from repro.pbio.context import KIND_FORMAT, IOContext
@@ -84,7 +84,7 @@ class _SubscriberQueue:
             if not self._condition.wait_for(
                 lambda: self._items or self._closed, timeout=timeout
             ):
-                raise TransportError(f"no event within {timeout}s")
+                raise TransportTimeoutError(f"no event within {timeout}s")
             if self._items:
                 return self._items.popleft()
             raise TransportError("subscription cancelled")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import ChannelClosedError, ReproError, TransportError
+from repro.errors import ReproError, TransportError, TransportTimeoutError
 from repro.events.backbone import EventBackbone, _SubscriberQueue
 from repro.events.endpoints import Event, Publisher
 from repro.events.protocol import (  # noqa: F401  (the codec's old home)
@@ -114,10 +114,10 @@ class BrokerServer:
         while not self._stop.is_set():
             try:
                 channel = self._listener.accept(timeout=0.2)
-            except TransportError:
-                continue
+            except TransportTimeoutError:
+                continue  # poll the stop flag
             except Exception:
-                return
+                return  # the listener is closed or broken: stop accepting
             self.serve_channel(channel)
 
     def _serve_connection(self, channel: Channel) -> None:
@@ -132,10 +132,8 @@ class BrokerServer:
             while not self._stop.is_set():
                 try:
                     message = channel.recv(timeout=0.5)
-                except ChannelClosedError:
-                    break
-                except TransportError:
-                    continue  # recv timeout: poll the stop flag
+                except TransportTimeoutError:
+                    continue  # poll the stop flag
                 reply = session.feed(message)
                 if reply is not None:
                     with send_lock:
@@ -150,18 +148,18 @@ class BrokerServer:
         while not self._stop.is_set():
             try:
                 frame = queue.get(timeout=0.5)
-            except TransportError as exc:
-                if "cancelled" in str(exc):
-                    return
-                continue
+            except TransportTimeoutError:
+                continue  # poll the stop flag
+            except TransportError:
+                return  # subscription cancelled
             try:
                 with lock:
                     # envelope() is cached on the frame shared by every
                     # subscriber of this publish: serialized once, sent N
                     # times — no per-sink re-framing.
                     channel.send(frame.envelope())
-            except (ChannelClosedError, TransportError, OSError):
-                return
+            except (TransportError, OSError):
+                return  # peer gone
 
 
 class RemoteBackboneClient:

@@ -146,7 +146,7 @@ class _HandoffListener:
         if self._closed:
             raise TransportError("handoff listener closed")
         if not self._conn.poll(timeout):
-            raise TransportError(f"accept timed out after {timeout}s")
+            raise TransportTimeoutError(f"accept timed out after {timeout}s")
         try:
             fd = recv_handle(self._conn)
         except (EOFError, OSError) as exc:

@@ -14,7 +14,7 @@ or an intermediate copy:
 - :meth:`recv_view` returns a **borrowed view of ring memory**, valid
   until the next receive on this channel (§12 ownership rules; debug
   mode revokes stale views, see
-  :func:`repro.transport.tcp.set_recv_view_debug`).
+  :func:`repro.transport.set_recv_view_debug`).
 
 Endpoints rendezvous by name: :meth:`ShmChannel.create` returns the
 channel plus a picklable :class:`ShmEndpoint` (also a ``shm://`` URI)
@@ -32,24 +32,12 @@ from dataclasses import dataclass
 
 from repro.errors import ChannelClosedError, TransportError
 from repro.mp.ring import DEFAULT_CAPACITY, RingBuffer
+from repro.obs.instr import channel_handles, handle_memo
 from repro.obs.metrics import get_registry
-from repro.transport.channel import Channel
+from repro.transport.channel import Channel, recv_view_debug_enabled
 
-_obs_memo = [None]
-
-
-def _obs():
-    """Memoized shm-plane metric handles (same shape as the TCP plane's)."""
-    from repro.obs.instr import channel_handles
-
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    cached = _obs_memo[0]
-    if cached is None or cached[0] is not registry:
-        cached = (registry, channel_handles(registry, "shm"))
-        _obs_memo[0] = cached
-    return cached[1]
+#: The shm plane's channel metric handles, or None if disabled.
+_obs = handle_memo(lambda registry: channel_handles(registry, "shm"))
 
 
 def _depth_gauge(direction: str):
@@ -237,15 +225,13 @@ class ShmChannel(Channel):
         Valid only until the next ``recv``/``recv_view`` on this channel
         (which returns the ring space to the producer); ``bytes()`` or
         decode it before receiving again.  With recv-view debugging
-        enabled (:func:`repro.transport.tcp.set_recv_view_debug`), the
+        enabled (:func:`repro.transport.set_recv_view_debug`), the
         next receive *revokes* the view, so stale use raises
         ``ValueError`` instead of silently reading recycled ring bytes.
         """
         return self._recv_outer(timeout, copy=False)
 
     def _recv_outer(self, timeout: float | None, *, copy: bool):
-        from repro.transport.tcp import recv_view_debug_enabled
-
         if self._closed:
             raise ChannelClosedError("cannot recv on a closed channel")
         handles = _obs()

@@ -8,7 +8,9 @@ once and caches the handles:
   itself (the same trick as ``fmt._encode_plan``), invalidated when the
   default registry is swapped;
 - per-plane channel handles live in a WeakKeyDictionary keyed by
-  registry, so test registries are collectable.
+  registry, so test registries are collectable;
+- a call site that serves one plane keeps its handles behind
+  :func:`handle_memo`: one identity check per operation.
 
 Durations on the *encode/decode* path are sampled 1 in
 :data:`SAMPLE_EVERY` calls — two ``perf_counter`` calls cost ~0.3 µs,
@@ -95,6 +97,28 @@ def timed_codegen(kind: str, build, *args, **kwargs):
         "pbio_codegen_seconds", "generation + compile time of one routine", ("kind",)
     ).labels(kind).observe(perf_counter() - started)
     return built
+
+
+def handle_memo(build):
+    """A getter of ``build(registry)`` for the default registry.
+
+    The returned callable answers None while the registry is disabled
+    (the fast path: one attribute test), builds once per registry, and
+    re-resolves when the default registry is swapped (tests).
+    """
+    _obs_memo = None
+
+    def handles():
+        nonlocal _obs_memo
+        registry = get_registry()
+        if not registry.enabled:
+            return None
+        cached = _obs_memo
+        if cached is None or cached[0] is not registry:
+            cached = _obs_memo = (registry, build(registry))
+        return cached[1]
+
+    return handles
 
 
 @dataclass(frozen=True)

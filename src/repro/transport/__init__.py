@@ -27,7 +27,11 @@ pull-based format requests for late joiners.
 """
 
 from repro.errors import TransportError
-from repro.transport.channel import Channel
+from repro.transport.channel import (
+    Channel,
+    recv_view_debug_enabled,
+    set_recv_view_debug,
+)
 from repro.transport.connection import RecordConnection
 from repro.transport.inproc import InprocChannel, make_pipe
 from repro.transport.netsim import NetworkModel, NetworkStats
@@ -37,8 +41,6 @@ from repro.transport.tcp import (
     TCPListener,
     connect,
     listen,
-    recv_view_debug_enabled,
-    set_recv_view_debug,
 )
 
 

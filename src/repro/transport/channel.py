@@ -3,6 +3,25 @@
 from __future__ import annotations
 
 import abc
+import os
+
+# Debug switch for the recv_view ownership contract (PROTOCOL §12): when
+# enabled, the next recv on a channel *revokes* the previously returned
+# borrowed view, so stale use raises ValueError instead of silently
+# reading whatever the recycled buffer holds now.  Costs one attribute
+# check per receive when off; enable in tests via set_recv_view_debug or
+# the REPRO_DEBUG_RECV_VIEW environment variable.
+_view_debug = [os.environ.get("REPRO_DEBUG_RECV_VIEW", "") not in ("", "0")]
+
+
+def set_recv_view_debug(enabled: bool) -> None:
+    """Toggle stale-``recv_view`` revocation on every zero-copy channel."""
+    _view_debug[0] = bool(enabled)
+
+
+def recv_view_debug_enabled() -> bool:
+    """Whether stale borrowed views are revoked on the next receive."""
+    return _view_debug[0]
 
 
 class Channel(abc.ABC):
@@ -27,7 +46,8 @@ class Channel(abc.ABC):
 
         Raises :class:`~repro.errors.ChannelClosedError` on clean EOF
         with no pending messages, and
-        :class:`~repro.errors.TransportError` on timeout.
+        :class:`~repro.errors.TransportTimeoutError` on timeout (the
+        channel stays usable: a later ``recv`` returns the next message).
         """
 
     def send_many(self, messages) -> int:

@@ -23,7 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import DecodeError, TransportError, UnknownFormatError
+from repro.errors import (
+    DecodeError,
+    TransportError,
+    TransportTimeoutError,
+    UnknownFormatError,
+)
 from repro.obs.trace import TraceContext
 from repro.pbio.context import (
     KIND_BATCH,
@@ -218,7 +223,7 @@ class RecordConnection:
         """
         try:
             message = self.channel.recv(timeout)
-        except TransportError:
+        except TransportTimeoutError:
             return False
         kind, format_id = self._kind_and_id(message)
         if kind == KIND_REQUEST:

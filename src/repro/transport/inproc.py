@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from repro.errors import ChannelClosedError, TransportError
+from repro.errors import ChannelClosedError, TransportError, TransportTimeoutError
 from repro.transport.channel import Channel
 from repro.transport.netsim import NetworkModel
 
@@ -52,7 +52,7 @@ class InprocChannel(Channel):
                 lambda: self._inbox or self._closed or self._peer_closed(),
                 timeout=timeout,
             ):
-                raise TransportError(f"recv timed out after {timeout}s")
+                raise TransportTimeoutError(f"recv timed out after {timeout}s")
             if self._inbox:
                 return self._inbox.popleft()
             raise ChannelClosedError("channel closed with no pending messages")

@@ -3,7 +3,9 @@
 The receive side reads ahead: one ``recv_into`` takes whatever the
 socket holds into the channel's :class:`~repro.wire.framing.ReceiveBuffer`,
 and a ``recv`` that finds a whole frame already buffered returns it
-without a syscall or a timeout change.
+without a syscall or a timeout change.  ``send``, ``send_many`` and
+``send_batch`` build an iovec for one send body, ``_send_iov``: one
+``sendmsg`` whenever the kernel takes it whole.
 
 A :class:`TCPChannel.recv` timeout raises
 :class:`~repro.errors.TransportTimeoutError` and always leaves the
@@ -22,16 +24,15 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
+from time import perf_counter, sleep
 
 from repro.errors import (
     ChannelClosedError,
     TransportError,
     TransportTimeoutError,
 )
-from repro.obs.instr import channel_handles
-from repro.obs.metrics import get_registry
-from repro.transport.channel import Channel
+from repro.obs.instr import channel_handles, handle_memo
+from repro.transport.channel import Channel, _view_debug
 from repro.wire.bufpool import get_pool
 from repro.wire.framing import (
     ReceiveBuffer,
@@ -48,41 +49,11 @@ try:
         _IOV_MAX = 1024
 except (AttributeError, ValueError, OSError):
     _IOV_MAX = 1024
+if not _HAS_SENDMSG:
+    _IOV_MAX = 0  # how many buffers one sendmsg carries: here, none
 
-# Debug switch for the recv_view ownership contract (PROTOCOL §12): when
-# enabled, the next recv on a channel *revokes* the previously returned
-# borrowed view, so stale use raises ValueError instead of silently
-# reading whatever the recycled buffer holds now.  Costs one attribute
-# check per receive when off; enable in tests via set_recv_view_debug or
-# the REPRO_DEBUG_RECV_VIEW environment variable.
-_view_debug = [os.environ.get("REPRO_DEBUG_RECV_VIEW", "") not in ("", "0")]
-
-
-def set_recv_view_debug(enabled: bool) -> None:
-    """Toggle stale-``recv_view`` revocation on every zero-copy channel."""
-    _view_debug[0] = bool(enabled)
-
-
-def recv_view_debug_enabled() -> bool:
-    """Whether stale borrowed views are revoked on the next receive."""
-    return _view_debug[0]
-
-
-# Memo of the bound series for the current default registry; swapped
-# registries (tests) re-resolve on first use.
-_obs_memo = [None]
-
-
-def _obs():
-    """The threaded plane's channel metric handles, or None if disabled."""
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    cached = _obs_memo[0]
-    if cached is None or cached[0] is not registry:
-        cached = (registry, channel_handles(registry, "threaded"))
-        _obs_memo[0] = cached
-    return cached[1]
+#: The threaded plane's channel metric handles, or None if disabled.
+_obs = handle_memo(lambda registry: channel_handles(registry, "threaded"))
 
 
 class TCPChannel(Channel):
@@ -133,27 +104,36 @@ class TCPChannel(Channel):
                 return
             sent = self._sock.sendmsg(iov[:_IOV_MAX])
 
-    def send(self, message: bytes) -> None:
+    def _send_iov(self, buffers, frames: int, payload_bytes: int) -> None:
+        """Put ``frames`` whole frames on the wire: the one send body
+        (closed check, lock, write, error mapping, metrics) behind
+        ``send``/``send_many``/``send_batch``.
+
+        ``buffers`` is their iovec and starts with a length prefix;
+        ``payload_bytes`` counts the messages without their prefixes.
+        """
         if self._closed:
             raise ChannelClosedError("cannot send on a closed channel")
-        header, payload = frame_iov(message)
         handles = _obs()
-        started = time.perf_counter() if handles is not None else 0.0
+        started = perf_counter() if handles is not None else 0.0
         try:
             with self._send_lock:
-                # One sendmsg carries the whole frame unless the socket
-                # buffer is full; only a short write pays the iov walk.
-                sent = self._sock.sendmsg((header, payload)) if _HAS_SENDMSG else 0
-                if sent < len(header) + len(payload):
-                    self._sendall_vectored((header, payload), sent)
+                # One sendmsg carries everything unless the socket buffer is
+                # full; only a short write, or an iovec too long, walks it.
+                sent = self._sock.sendmsg(buffers) if len(buffers) <= _IOV_MAX else 0
+                if sent < payload_bytes + frames * len(buffers[0]):
+                    self._sendall_vectored(buffers, sent)
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise ChannelClosedError(f"peer closed the connection: {exc}") from exc
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
         if handles is not None:
-            handles.send_seconds.observe(time.perf_counter() - started)
-            handles.send_frames.inc()
-            handles.send_bytes.inc(len(message))
+            handles.send_seconds.observe(perf_counter() - started)
+            handles.send_frames.inc(frames)
+            handles.send_bytes.inc(payload_bytes)
+
+    def send(self, message: bytes) -> None:
+        self._send_iov(frame_iov(message), 1, len(message))
 
     def send_many(self, messages) -> int:
         """Send every message as one scatter-gather batch; returns count.
@@ -163,32 +143,14 @@ class TCPChannel(Channel):
         with other senders and the per-message syscall cost is amortized
         across the batch.
         """
-        if self._closed:
-            raise ChannelClosedError("cannot send on a closed channel")
         buffers: list = []
-        count = 0
         total_bytes = 0
         for message in messages:
-            header, payload = frame_iov(message)
-            buffers.append(header)
-            buffers.append(payload)
-            total_bytes += len(payload)
-            count += 1
-        if not count:
-            return 0
-        handles = _obs()
-        started = time.perf_counter() if handles is not None else 0.0
-        try:
-            with self._send_lock:
-                self._sendall_vectored(buffers)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            raise ChannelClosedError(f"peer closed the connection: {exc}") from exc
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
-        if handles is not None:
-            handles.send_seconds.observe(time.perf_counter() - started)
-            handles.send_frames.inc(count)
-            handles.send_bytes.inc(total_bytes)
+            buffers.extend(frame_iov(message))
+            total_bytes += len(message)
+        count = len(buffers) // 2
+        if count:
+            self._send_iov(buffers, count, total_bytes)
         return count
 
     def send_batch(self, parts) -> int:
@@ -200,23 +162,9 @@ class TCPChannel(Channel):
         without ever concatenating the parts — the length prefix and
         every part ride a single ``sendmsg`` iovec under one lock.
         """
-        if self._closed:
-            raise ChannelClosedError("cannot send on a closed channel")
         buffers = frame_parts(parts)
         total = sum(len(part) for part in buffers) - len(buffers[0])
-        handles = _obs()
-        started = time.perf_counter() if handles is not None else 0.0
-        try:
-            with self._send_lock:
-                self._sendall_vectored(buffers)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            raise ChannelClosedError(f"peer closed the connection: {exc}") from exc
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
-        if handles is not None:
-            handles.send_seconds.observe(time.perf_counter() - started)
-            handles.send_frames.inc()
-            handles.send_bytes.inc(total)
+        self._send_iov(buffers, 1, total)
         return total
 
     def recv(self, timeout: float | None = None) -> bytes:
@@ -259,7 +207,7 @@ class TCPChannel(Channel):
                 f"recv timed out after {timeout}s waiting for another reader"
             )
         handles = _obs()
-        started = time.perf_counter() if handles is not None else 0.0
+        started = perf_counter() if handles is not None else 0.0
         try:
             debug = _view_debug[0]
             if debug:
@@ -273,7 +221,7 @@ class TCPChannel(Channel):
         finally:
             self._recv_lock.release()
         if handles is not None:
-            handles.recv_seconds.observe(time.perf_counter() - started)
+            handles.recv_seconds.observe(perf_counter() - started)
             handles.recv_frames.inc()
             handles.recv_bytes.inc(len(message))
         return message
@@ -290,13 +238,11 @@ class TCPChannel(Channel):
         try:
             return read_frame_into(sock.recv_into, rbuf)
         except socket.timeout as exc:
-            if rbuf.pending:
-                raise TransportTimeoutError(
-                    f"recv timed out after {timeout}s with {rbuf.pending} "
-                    "byte(s) of a frame buffered; the next recv resumes it",
-                    mid_frame=True,
-                ) from exc
-            raise TransportTimeoutError(f"recv timed out after {timeout}s") from exc
+            pending = rbuf.pending  # stays buffered: the next recv resumes it
+            raise TransportTimeoutError(
+                f"recv timed out after {timeout}s, {pending} byte(s) into a frame",
+                mid_frame=pending > 0,
+            ) from exc
         except ConnectionResetError as exc:
             raise ChannelClosedError(f"connection reset: {exc}") from exc
         except OSError as exc:
@@ -310,14 +256,6 @@ class TCPChannel(Channel):
                 pass
             if handles is not None:
                 handles.recv_reads.inc(rbuf.reads - reads)
-
-    @property
-    def poisoned(self) -> bool:
-        """Always False: a partial frame stays buffered across a timeout.
-
-        Kept for parity with ``AsyncTCPChannel.poisoned``.
-        """
-        return False
 
     def close(self) -> None:
         if not self._closed:
@@ -372,11 +310,11 @@ class TCPListener:
 
     def accept(self, timeout: float | None = None) -> TCPChannel:
         """Block for (and wrap) the next inbound connection."""
-        self._sock.settimeout(timeout)
         try:
+            self._sock.settimeout(timeout)
             connection, _ = self._sock.accept()
         except socket.timeout as exc:
-            raise TransportError(f"accept timed out after {timeout}s") from exc
+            raise TransportTimeoutError(f"accept timed out after {timeout}s") from exc
         except OSError as exc:
             raise ChannelClosedError(f"listener closed: {exc}") from exc
         return TCPChannel(connection)
@@ -440,7 +378,7 @@ class ReconnectingTCPChannel(Channel):
         base_delay: float = 0.05,
         connect_timeout: float | None = 5.0,
         on_reconnect=None,
-        sleep=time.sleep,
+        sleep=sleep,
     ) -> None:
         if max_reconnects < 0:
             raise TransportError("max_reconnects must be non-negative")

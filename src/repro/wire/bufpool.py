@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.metrics import get_registry
+from repro.obs.instr import handle_memo
 
 #: Smallest pooled buffer (requests below this round up to it).
 MIN_CLASS = 256
@@ -35,24 +35,16 @@ MAX_CLASS = 1 << 20
 #: Default cap on parked buffers per size class.
 DEFAULT_MAX_PER_CLASS = 8
 
-# Memo of the bound counter handles for the current default registry;
-# swapped registries (tests) re-resolve on first use.
-_obs_memo = [None]
+
+def _bind_counters(registry):
+    family = registry.counter(
+        "bufpool_events_total", "buffer pool acquires by outcome", ("event",)
+    )
+    return family.labels("hit").inc, family.labels("miss").inc
 
 
-def _obs():
-    """(hit_inc, miss_inc) bound methods, or None if metrics disabled."""
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    cached = _obs_memo[0]
-    if cached is None or cached[0] is not registry:
-        family = registry.counter(
-            "bufpool_events_total", "buffer pool acquires by outcome", ("event",)
-        )
-        cached = (registry, (family.labels("hit").inc, family.labels("miss").inc))
-        _obs_memo[0] = cached
-    return cached[1]
+#: ``(hit_inc, miss_inc)`` bound methods, or None if metrics are disabled.
+_obs = handle_memo(_bind_counters)
 
 
 def _class_for(size: int) -> int:

@@ -5,14 +5,18 @@ pipe are byte streams.  Frames bridge the two: a big-endian u32 length
 followed by the message bytes.
 
 Reading is one core, :class:`ReceiveBuffer` — a contiguous read-ahead
-buffer that hands out complete frames as views — with two consumption
+buffer that hands out complete frames as views — with three consumption
 styles over it:
 
 - pull: :func:`read_frame_into` over a ``recv_into`` callable; one read
   takes whatever the stream holds, and frames already buffered are
   returned without touching the stream (what ``TCPChannel`` runs);
-- push: :class:`FrameDecoder`, fed arbitrary chunks, yielding complete
-  messages — the style a non-blocking event loop needs.
+- push, in place: :meth:`ReceiveBuffer.tail` / :meth:`~ReceiveBuffer.commit`,
+  the window an event loop reads into and the count it read (asyncio's
+  ``BufferedProtocol.get_buffer`` / ``buffer_updated``; what
+  ``AsyncTCPChannel`` runs);
+- push, copying: :class:`FrameDecoder`, fed arbitrary chunks, yielding
+  complete messages.
 
 :func:`read_frame` is the copying reader for sources that buffer
 themselves (PBIO files): exactly one frame per call, nothing read past
@@ -65,7 +69,7 @@ def frame_iov(message) -> tuple[bytes, bytes]:
 
     The payload is returned as-is (any bytes-like object), never copied
     — hand both elements to a scatter-gather write
-    (``socket.sendmsg``, ``StreamWriter.writelines``) and the wire
+    (``socket.sendmsg``, a transport's ``writelines``) and the wire
     carries exactly what :func:`frame` would have produced, without the
     concatenation allocation.
     """
@@ -149,8 +153,9 @@ def _read_exactly(recv: Callable[[int], bytes], needed: int, *, at_boundary: boo
 class ReceiveBuffer:
     """The one incremental frame reader: a contiguous read-ahead buffer.
 
-    Bytes enter at the tail — :meth:`fill` takes whatever one
-    ``recv_into`` yields, :meth:`feed` copies a chunk — and complete
+    Bytes enter at the tail — a read lands in :meth:`tail` and is
+    accounted by :meth:`commit` (:meth:`fill` is both around one
+    ``recv_into``), :meth:`feed` copies a chunk — and complete
     frames leave at the head as views (:meth:`next_frame`), with no
     copy and no further read while a whole frame is already buffered.
     Pending bytes are moved only when the tail cannot hold the frame in
@@ -171,14 +176,14 @@ class ReceiveBuffer:
         self._initial = initial
         self._head = 0  # first unconsumed byte
         self._tail = 0  # end of the buffered bytes
-        #: ``recv_into`` calls made by :meth:`fill` so far.
+        #: Reads accounted by :meth:`commit` (so by :meth:`fill`) so far.
         self.reads = 0
 
     def next_frame(self) -> memoryview | None:
         """Consume the frame at the head, if all of it is buffered.
 
         The view aliases the buffer and is valid until the next
-        :meth:`fill` or :meth:`feed`.  A length prefix above
+        :meth:`tail` or :meth:`feed`.  A length prefix above
         :data:`MAX_FRAME_SIZE` raises :class:`~repro.errors.WireError`
         and consumes nothing.
         """
@@ -194,11 +199,12 @@ class ReceiveBuffer:
         self._head = end
         return self._view[start:end]
 
-    def fill(self, recv_into: Callable[[memoryview], int]) -> int:
-        """One ``recv_into`` at the tail; returns its count (0 is EOF).
+    def tail(self) -> memoryview:
+        """The writable window at the tail for the next read to land in.
 
         For use after :meth:`next_frame` returned None (which vetted the
-        length prefix, if one is buffered).
+        length prefix, if one is buffered); never empty.  Report what
+        the read wrote with :meth:`commit`.
         """
         pending = self._tail - self._head
         capacity = len(self._data)
@@ -213,10 +219,17 @@ class ReceiveBuffer:
             limit = self._head + needed
         else:
             limit = min(len(self._data), tail + READ_AHEAD_MAX)
-        count = recv_into(self._view[tail:limit])
+        return self._view[tail:limit]
+
+    def commit(self, count: int) -> int:
+        """Account one read of ``count`` bytes into :meth:`tail`'s window."""
         self.reads += 1
-        self._tail = tail + count
+        self._tail += count
         return count
+
+    def fill(self, recv_into: Callable[[memoryview], int]) -> int:
+        """One ``recv_into`` at the tail; returns its count (0 is EOF)."""
+        return self.commit(recv_into(self.tail()))
 
     def feed(self, chunk) -> None:
         """Copy ``chunk`` (any bytes-like object) in at the tail."""

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.arch import SPARC_32, X86_32, X86_64
-from repro.errors import TransportError
+from repro.errors import TransportError, TransportTimeoutError
 from repro.events import EventBackbone
 from repro.pbio import IOContext, IOField
 
@@ -92,7 +92,7 @@ class TestLateJoin:
         subscriber = backbone.subscribe("weather.*", IOContext(X86_64))
         publisher, fmt = make_publisher(backbone, "flights.x")
         publisher.publish(fmt, {"flight": "F", "alt": 0})
-        with pytest.raises(TransportError, match="no event"):
+        with pytest.raises(TransportTimeoutError, match="no event"):
             subscriber.next(timeout=0.05)
 
 
@@ -113,13 +113,14 @@ class TestSubscriptionLifecycle:
             try:
                 subscriber.next(timeout=5)
             except TransportError as exc:
-                errors.append(str(exc))
+                errors.append(exc)
 
         thread = threading.Thread(target=wait_for_event)
         thread.start()
         subscriber.cancel()
         thread.join(timeout=5)
-        assert errors and "cancelled" in errors[0]
+        assert errors and "cancelled" in str(errors[0])
+        assert not isinstance(errors[0], TransportTimeoutError)  # not a poll miss
 
     def test_context_manager_cancels(self):
         backbone = EventBackbone()

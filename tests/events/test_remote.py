@@ -1,11 +1,12 @@
 """Integration tests for the networked event backbone."""
 
+import threading
 import time
 
 import pytest
 
 from repro.arch import SPARC_32, X86_32, X86_64
-from repro.errors import WireError
+from repro.errors import TransportError, TransportTimeoutError, WireError
 from repro.events.remote import (
     BrokerServer,
     RemoteBackboneClient,
@@ -217,6 +218,28 @@ class TestBrokerLifecycle:
         finally:
             raw.close()
             subscriber.close()
+
+    def test_failed_channel_is_dropped_not_polled(self, broker):
+        """Only a timeout is a reason to poll again: a channel whose recv
+        fails is closed and its session ended at once."""
+
+        class FailingChannel:
+            recvs = 0
+            closed = threading.Event()
+
+            def recv(self, timeout=None):
+                self.recvs += 1
+                if self.recvs == 1:
+                    raise TransportTimeoutError("recv timed out")  # polled again
+                raise TransportError("recv failed: [Errno 5] I/O error")
+
+            def close(self):
+                self.closed.set()
+
+        stub = FailingChannel()
+        broker.serve_channel(stub)
+        assert stub.closed.wait(timeout=2)
+        assert stub.recvs == 2
 
     def test_double_start_rejected(self):
         broker = BrokerServer()

@@ -1,14 +1,16 @@
 """The read-ahead frame reader against hostile chunking.
 
 One core (:class:`~repro.wire.framing.ReceiveBuffer`) serves the socket
-front (:func:`read_frame_into`) and the push front
-(:class:`FrameDecoder`).  For any sequence of messages — empty, one
-byte, exactly filling the initial buffer, larger than the read-ahead,
-larger than whatever the buffer has grown to — and any way the stream
-is cut into reads, including 1-byte reads and a cut inside a length
-prefix, both fronts must yield exactly the sent messages in order and
-fail typed: a forged length never allocates, EOF at a frame boundary is
-a close, EOF inside a frame is truncation.
+front (:func:`read_frame_into`, what ``TCPChannel`` runs), the in-place
+push front (``tail()``/``commit()``, what asyncio's ``get_buffer`` /
+``buffer_updated`` run on ``AsyncTCPChannel``) and the copying push
+front (:class:`FrameDecoder`).  For any sequence of messages — empty,
+one byte, exactly filling the initial buffer, larger than the
+read-ahead, larger than whatever the buffer has grown to — and any way
+the stream is cut into reads, including 1-byte reads and a cut inside a
+length prefix, every front must yield exactly the sent messages in order
+and fail typed: a forged length never allocates, EOF at a frame boundary
+is a close, EOF inside a frame is truncation.
 
 No ``max_examples`` is pinned here, so ``--hypothesis-profile=thorough``
 (``tests/conftest.py``) raises the example count in CI.
@@ -115,6 +117,30 @@ def drain_decoder(stream, boundaries, decoder):
     return received, None
 
 
+def drain_push_front(stream, boundaries, buffer):
+    """What an event loop does: ask for ``tail()``, write what the read
+    brought (never across a boundary, never more than the window),
+    ``commit`` it, take every whole frame.  Returns the frames, the error
+    that stopped the reading (None if the stream ran out first) and how
+    many windows were requested."""
+    received, position, windows = [], 0, 0
+    while position < len(stream):
+        window = buffer.tail()
+        windows += 1
+        assert len(window) > 0, "the reader offered an empty window"
+        stop = boundaries[bisect_right(boundaries, position)]
+        count = min(len(window), stop - position)
+        window[:count] = stream[position : position + count]
+        position += count
+        buffer.commit(count)
+        try:
+            while (message := buffer.next_frame()) is not None:
+                received.append(bytes(message))
+        except WireError as exc:
+            return received, exc, windows
+    return received, None, windows
+
+
 def capacity_bound(messages):
     largest = max((len(message) for message in messages), default=0)
     return 2 * max(READ_AHEAD_MAX, largest + 4)
@@ -135,6 +161,12 @@ class TestAnyChunking:
         assert buffer.pending == 0
         assert buffer.capacity <= capacity_bound(messages)
 
+        pushed = ReceiveBuffer()
+        received, ending, windows = drain_push_front(stream, boundaries, pushed)
+        assert (received, ending) == (messages, None)
+        assert pushed.pending == 0 and pushed.reads == windows
+        assert pushed.capacity <= capacity_bound(messages)
+
         for copy in (True, False):
             decoder = FrameDecoder(copy=copy)
             assert drain_decoder(stream, boundaries, decoder) == (messages, None)
@@ -153,6 +185,9 @@ class TestAnyChunking:
         assert received == messages
         assert isinstance(ending, ChannelClosedError)
         assert buffer.reads == len(stream) + 1  # one per byte, one for EOF
+        pushed = ReceiveBuffer()
+        assert drain_push_front(stream, boundaries, pushed) == (messages, None, len(stream))
+        assert pushed.reads == len(stream)
         assert drain_decoder(stream, boundaries, FrameDecoder()) == (messages, None)
 
 
@@ -180,6 +215,20 @@ class TestHostileInput:
         with pytest.raises(WireError, match="exceeds limit"):
             read_frame_into(recv_into_over(b"", [0]), buffer)
         assert buffer.capacity == capacity
+
+        # The push front stops reading at the forged prefix: the error
+        # consumes nothing, and no window is ever sized by it because
+        # none is requested again (a channel pauses its transport here).
+        pushed = ReceiveBuffer()
+        received, ending, _ = drain_push_front(stream, boundaries, pushed)
+        assert received == messages
+        assert isinstance(ending, WireError) and "exceeds limit" in str(ending)
+        pending = pushed.pending
+        assert 4 <= pending <= 4 + len(junk)
+        with pytest.raises(WireError, match="exceeds limit"):
+            pushed.next_frame()
+        assert pushed.pending == pending
+        assert pushed.capacity <= capacity_bound(messages)
 
         decoder = FrameDecoder()
         received, ending = drain_decoder(stream, boundaries, decoder)

@@ -207,3 +207,73 @@ class TestOneProtocolCore:
     def test_envelopes_are_unpacked_only_by_the_protocol_module(self):
         callers = {name for name, text in self._sources() if "unpack_envelope(" in text}
         assert callers == {"events/protocol.py"}
+
+
+class TestOneTransportCore:
+    """Length prefixes are parsed, and frames sent, in one place per job."""
+
+    SRC = TestOneProtocolCore.SRC
+    CHANNELS = {
+        "transport/tcp.py": "TCPChannel",
+        "aio/channel.py": "AsyncTCPChannel",
+    }
+
+    @pytest.mark.parametrize("needle", ["MAX_FRAME_SIZE", "_LENGTH.unpack"])
+    def test_only_the_framing_module_parses_a_length_prefix(self, needle):
+        users = {name for name, text in TestOneProtocolCore._sources() if needle in text}
+        assert users == {"wire/framing.py"}
+
+    def test_async_channel_has_no_stream_reader(self):
+        text = (self.SRC / "aio/channel.py").read_text()
+        for gone in ("readexactly", "StreamReader", "StreamWriter"):
+            assert gone not in text, gone
+
+    def test_dead_knobs_stay_gone(self):
+        import repro.aio
+        import repro.transport
+
+        for package in (repro.aio, repro.transport):
+            for name in package.__all__:
+                member = getattr(package, name)
+                functions = [member, *vars(member).values()]
+                for function in filter(inspect.isfunction, functions):
+                    parameters = inspect.signature(function).parameters
+                    assert not {"coalesce_bytes", "high_water"} & set(parameters), (
+                        f"{package.__name__}.{name}: {function}"
+                    )
+        definers = [
+            name for name, text in TestOneProtocolCore._sources() if "poisoned" in text
+        ]
+        assert not definers, definers
+
+    def test_one_per_registry_handle_memo(self):
+        assigners = {
+            name
+            for name, text in TestOneProtocolCore._sources()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Name)
+            and node.id == "_obs_memo"
+            and isinstance(node.ctx, ast.Store)
+        }
+        assert assigners == {"obs/instr.py"}
+
+    @pytest.mark.parametrize("module", CHANNELS)
+    def test_one_send_body_per_channel(self, module):
+        """Besides ``flush``, exactly one method enters the send lock."""
+        tree = ast.parse((self.SRC / module).read_text())
+        (channel,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == self.CHANNELS[module]
+        ]
+        lockers = [
+            method.name
+            for method in channel.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(method)
+            if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+            if isinstance(item.context_expr, ast.Attribute)
+            and item.context_expr.attr == "_send_lock"
+        ]
+        assert sorted(set(lockers) - {"flush"}) == ["_send_iov"]
+        assert lockers.count("_send_iov") == 1

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.errors import ChannelClosedError, TransportError
+from repro.errors import ChannelClosedError, TransportError, TransportTimeoutError
 from repro.transport import NetworkModel, connect, listen, make_pipe
 from repro.transport.netsim import lan_model, wan_model
 
@@ -33,8 +33,10 @@ class TestInprocChannel:
 
     def test_recv_timeout(self):
         a, b = make_pipe()
-        with pytest.raises(TransportError, match="timed out"):
+        with pytest.raises(TransportTimeoutError, match="timed out"):
             b.recv(timeout=0.01)
+        a.send(b"after the timeout")
+        assert b.recv(timeout=5) == b"after the timeout"
 
     def test_recv_after_peer_close_drains_then_raises(self):
         a, b = make_pipe()
@@ -206,6 +208,14 @@ class TestTCPChannel:
         listener.close()
         with pytest.raises(TransportError, match="connect"):
             connect(host, port, timeout=0.5)
+
+    def test_accept_timeout_is_typed_and_a_closed_listener_is_not_one(self):
+        listener = listen()
+        with pytest.raises(TransportTimeoutError, match="accept timed out"):
+            listener.accept(timeout=0.01)
+        listener.close()
+        with pytest.raises(ChannelClosedError):
+            listener.accept(timeout=0.01)
 
     def test_recv_timeout(self):
         with listen() as listener:

@@ -5,7 +5,12 @@ import threading
 import pytest
 
 from repro.arch import SPARC_32, X86_64
-from repro.errors import DecodeError, TransportError, UnknownFormatError
+from repro.errors import (
+    ChannelClosedError,
+    DecodeError,
+    TransportError,
+    UnknownFormatError,
+)
 from repro.pbio import FormatServer, IOContext, IOField
 from repro.transport import RecordConnection, make_pipe
 
@@ -104,6 +109,13 @@ class TestPullOnMiss:
         sender.serve_protocol_once(timeout=0.2)
         thread.join(timeout=5)
         assert received == [1.0, 2.0]
+
+    def test_serve_protocol_once_reports_only_a_timeout_as_no_message(self):
+        sender, receiver = connected_pair()
+        assert sender.serve_protocol_once(timeout=0.01) is False
+        receiver.close()
+        with pytest.raises(ChannelClosedError):
+            sender.serve_protocol_once(timeout=5)
 
     def test_request_for_unregistered_format_fails_loudly(self):
         sender, receiver = connected_pair()

@@ -28,11 +28,12 @@ def pair():
 
 class TestTimeoutHygiene:
     def test_timeout_raises_distinct_type(self, pair):
-        client, _ = pair
+        client, server = pair
         with pytest.raises(TransportTimeoutError) as excinfo:
             client.recv(timeout=0.05)
         assert not excinfo.value.mid_frame
-        assert not client.poisoned
+        server.send(b"after the timeout")
+        assert client.recv(timeout=5) == b"after the timeout"
 
     def test_socket_timeout_restored_after_timed_recv(self, pair):
         client, server = pair
@@ -76,7 +77,7 @@ class TestTimeoutHygiene:
 
 class TestMidFrameTimeout:
     """A timeout inside a frame keeps the partial frame buffered: the
-    next recv resumes it (PROTOCOL §9.1), nothing is ever poisoned."""
+    next recv resumes it (PROTOCOL §9.1)."""
 
     def test_partial_body_then_rest_yields_frame(self, pair):
         client, server = pair
@@ -86,7 +87,6 @@ class TestMidFrameTimeout:
         with pytest.raises(TransportTimeoutError) as excinfo:
             client.recv(timeout=0.1)
         assert excinfo.value.mid_frame
-        assert not client.poisoned
         server._sock.sendall(b"x" * 93)
         assert client.recv(timeout=5) == b"partial" + b"x" * 93
 
@@ -97,7 +97,6 @@ class TestMidFrameTimeout:
         with pytest.raises(TransportTimeoutError) as excinfo:
             client.recv(timeout=0.1)
         assert excinfo.value.mid_frame
-        assert not client.poisoned
         server._sock.sendall(b"\x00\x05hello")
         server.send(b"next")
         assert client.recv(timeout=5) == b"hello"

@@ -113,6 +113,38 @@ class TestShortWrites:
         assert client.send_many(messages) == 3
         assert [server.recv(timeout=5.0) for _ in messages] == messages
 
+    @pytest.mark.parametrize("limits, calls", [([], 1), ([1, 3, 2, 5], 5)])
+    def test_every_entry_point_takes_the_same_write_path(self, tcp_pair, limits, calls):
+        """send, send_many and send_batch are one body: a whole write is
+        one sendmsg for each, a short one is finished the same way."""
+        client, server = tcp_pair
+        sends = [
+            lambda: client.send(b"one frame, three ways"),
+            lambda: client.send_many([b"one frame, ", b"three ways"]),
+            lambda: client.send_batch([b"one frame, ", memoryview(b"three ways")]),
+        ]
+        expected = [
+            b"one frame, three ways",
+            b"one frame, ", b"three ways",
+            b"one frame, three ways",
+        ]
+        for send in sends:
+            writer = client._sock = ShortWriter(client._sock, limits)
+            send()
+            assert writer.calls == calls
+            client._sock = writer._sock
+        assert [server.recv(timeout=5.0) for _ in expected] == expected
+
+    def test_batch_longer_than_the_kernel_iovec_limit(self, tcp_pair):
+        from repro.transport.tcp import _IOV_MAX
+
+        client, server = tcp_pair
+        messages = [b"m%d" % i for i in range(_IOV_MAX)]  # 2 * IOV_MAX buffers
+        writer = client._sock = ShortWriter(client._sock, [])
+        assert client.send_many(messages) == len(messages)
+        assert writer.calls == 2  # never one oversized sendmsg
+        assert [server.recv(timeout=5.0) for _ in messages] == messages
+
 
 class TestSendMany:
     def test_batch_arrives_as_individual_frames(self, tcp_pair):
